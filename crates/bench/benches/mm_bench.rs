@@ -8,8 +8,8 @@
 
 use sia_bench::harness::BenchGroup;
 use sia_dbt::{
-    accumulation_plan, build_a_hat, multiply_mm, multiply_mm_batch, multiply_mm_on, MmProblem,
-    MmShape,
+    accumulation_plan, build_a_hat, multiply_mm, multiply_mm_on, multiply_mm_resident_lanes_on,
+    BandCache, MmResidentProblem, MmShape, OperandRef,
 };
 use sia_matrix::gen;
 use sia_sim::ArrayStation;
@@ -83,21 +83,22 @@ fn bench_operand_construction() {
 }
 
 fn bench_batch() {
-    // Throughput of the parallel batch API versus running the same jobs
-    // sequentially: 16 independent w=4 12x12x12 products.
+    // Throughput of one 16-lane array pass versus running the same jobs
+    // sequentially: 16 independent w=4 12x12x12 products.  The lane pass
+    // transforms its operands fresh, through a cache that retains nothing.
     let mut group = BenchGroup::new("mm_batch_16_jobs").sample_size(10);
     let (w, n) = (4usize, 12usize);
-    let mats: Vec<_> = (0..16u64)
+    let mats: Vec<(OperandRef, OperandRef)> = (0..16u64)
         .map(|s| {
             (
-                gen::random_dense_f64(n, n, 100 + s),
-                gen::random_dense_f64(n, n, 200 + s),
+                OperandRef::named(2 * s, gen::random_dense_f64(n, n, 100 + s)),
+                OperandRef::named(2 * s + 1, gen::random_dense_f64(n, n, 200 + s)),
             )
         })
         .collect();
-    let problems: Vec<MmProblem<'_, f64>> = mats
+    let problems: Vec<MmResidentProblem<'_, f64>> = mats
         .iter()
-        .map(|(a, b)| MmProblem { a, b, e: None })
+        .map(|(a, b)| MmResidentProblem { a, b, e: None })
         .collect();
     group.bench("sequential", || {
         problems
@@ -105,7 +106,11 @@ fn bench_batch() {
             .map(|p| multiply_mm(p.a, p.b, None, w).unwrap())
             .collect::<Vec<_>>()
     });
-    group.bench("run_batch", || multiply_mm_batch(&problems, w).unwrap());
+    let mut station = ArrayStation::new(w).unwrap();
+    let mut cache = BandCache::new(w, 0);
+    group.bench("lane_pass", || {
+        multiply_mm_resident_lanes_on(&mut station, &mut cache, &problems).unwrap()
+    });
 }
 
 fn main() {

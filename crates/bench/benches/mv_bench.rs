@@ -8,7 +8,9 @@
 //! ```
 
 use sia_bench::harness::BenchGroup;
-use sia_dbt::{multiply_mv, multiply_mv_batch, multiply_mv_on, DbtByRows, MvProblem, MvSchedule};
+use sia_dbt::{
+    multiply_mv, multiply_mv_lanes_on, multiply_mv_on, DbtByRows, MvProblem, MvSchedule,
+};
 use sia_matrix::gen;
 use sia_sim::ArrayStation;
 
@@ -84,7 +86,7 @@ fn bench_reuse_vs_fresh() {
 }
 
 fn bench_batch() {
-    // Throughput of the parallel batch API versus running the same jobs
+    // Throughput of one 16-lane array pass versus running the same jobs
     // sequentially: 16 independent w=4 48x48 products.
     let mut group = BenchGroup::new("mv_batch_16_jobs").sample_size(10);
     let (w, n) = (4usize, 48usize);
@@ -106,8 +108,9 @@ fn bench_batch() {
             .map(|p| multiply_mv(p.a, p.x, None, w, MvSchedule::Simple).unwrap())
             .collect::<Vec<_>>()
     });
-    group.bench("run_batch", || {
-        multiply_mv_batch(&problems, w, MvSchedule::Simple).unwrap()
+    let mut station = ArrayStation::new(w).unwrap();
+    group.bench("lane_pass", || {
+        multiply_mv_lanes_on(&mut station, &problems, MvSchedule::Simple).unwrap()
     });
 }
 

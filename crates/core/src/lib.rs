@@ -77,23 +77,23 @@ pub use dbt_transposed::DbtTransposedByRows;
 pub use error::DbtError;
 pub use mm::{
     accumulation_plan, build_a_hat, build_a_hat_with, build_b_hat, build_b_hat_with, multiply_mm,
-    multiply_mm_batch, multiply_mm_batch_on, multiply_mm_lanes_on, multiply_mm_on,
-    validate_mm_args, AccumulationPlan, MmOutcome, MmProblem,
+    multiply_mm_on, validate_mm_args, AccumulationPlan, MmOutcome,
 };
 pub use mv::{
-    multiply_mv, multiply_mv_batch, multiply_mv_batch_on, multiply_mv_lanes_on, multiply_mv_on,
-    predicted_mv_cycles, validate_mv_args, MvOutcome, MvProblem, MvSchedule,
+    multiply_mv, multiply_mv_lanes_on, multiply_mv_on, predicted_mv_cycles, validate_mv_args,
+    MvOutcome, MvProblem, MvSchedule,
 };
 pub use resident::{
     mm_staging_cycles, multiply_mm_resident_into, multiply_mm_resident_lanes_on,
-    multiply_mm_resident_on, multiply_mv_block_sparse_resident_on, multiply_mv_resident_on,
-    mv_staging_cycles, sparse_staging_cycles, BandCache, BandKey, BandRole, MmResidentProblem,
-    OperandRef, StagingReport,
+    multiply_mm_resident_on, multiply_mv_block_sparse_resident_on, multiply_mv_resident_lanes_on,
+    multiply_mv_resident_on, mv_staging_cycles, sparse_staging_cycles, BandCache, BandKey,
+    BandRole, MmResidentProblem, MvResidentProblem, OperandRef, StagingReport,
 };
 
 /// Maximum number of value lanes one lane-parallel array pass carries
-/// ([`multiply_mm_lanes_on`] / [`multiply_mv_lanes_on`] split larger batches
-/// into passes of at most this many jobs).  Sixteen `f64` lanes keep a
+/// (the lane entry points — [`multiply_mm_resident_lanes_on`],
+/// [`multiply_mv_lanes_on`] and friends — split larger batches into passes
+/// of at most this many jobs).  Sixteen `f64` lanes keep a
 /// cell's lane block within four AVX2 (two AVX-512) registers while the
 /// whole value plane still fits comfortably in cache for serving-sized
 /// shapes.

@@ -24,11 +24,13 @@
 //! paper's central claim.
 
 use crate::analytic::MmShape;
+use crate::resident::{check_cache_w, BandCache, BandRole, StagingReport};
 use crate::DbtError;
 use sia_matrix::{BandMatrix, BlockGrid, DenseMatrix, Scalar};
 use sia_sim::{
     ArrayStation, CInjection, CInjectionSchedule, FeedbackSummary, HexJob, HexScratch, SimError,
 };
+use std::slice;
 use std::sync::Arc;
 
 /// Result of one size-independent matrix–matrix multiplication.
@@ -354,12 +356,15 @@ pub fn multiply_mm<T: Scalar>(
 ///
 /// Identical to [`multiply_mm`] except that the array (and its persistent
 /// run workspace) is provided by the caller instead of being constructed
-/// per call: long-lived owners — the `sia-runtime` worker pool keeps one
-/// station per worker for its whole lifetime — route every job through the
-/// same warm [`sia_sim::HexScratch`], so the simulation itself performs no
-/// heap allocation in steady state, and the executed array steps are
-/// recorded in the station's cumulative counters *structurally* (by the run
-/// itself, not by caller-side back-attribution).
+/// per call: long-lived owners route every job through the same warm
+/// [`sia_sim::HexScratch`], so the simulation itself performs no heap
+/// allocation in steady state, and the executed array steps are recorded in
+/// the station's cumulative counters *structurally* (by the run itself, not
+/// by caller-side back-attribution).
+///
+/// A fresh solve is the one-lane case of the resident lane pass, served
+/// through a [`BandCache`] of capacity 0: the operands are transformed by
+/// the very code a resident serve uses, and nothing is retained.
 ///
 /// # Errors
 ///
@@ -370,145 +375,119 @@ pub fn multiply_mm_on<T: Scalar>(
     b: &DenseMatrix<T>,
     e: Option<&DenseMatrix<T>>,
 ) -> Result<MmOutcome<T>, DbtError> {
-    let (job, schedule) = prepare_mm(a, b, e, station.size())?;
-    let scratch = station.run_hex(&job)?;
-    let feedback = scratch.feedback_summary();
-    Ok(schedule.complete(scratch, 0, feedback))
+    let mut cache = BandCache::new(station.size(), 0);
+    let problem = MmLane {
+        a: (0, a),
+        b: (0, b),
+        e,
+    };
+    let mut report = StagingReport::default();
+    let (schedule, scratch) = mm_pass(
+        station,
+        &mut cache,
+        &[problem],
+        slice::from_mut(&mut report),
+    )?;
+    Ok(schedule.complete(scratch, 0, scratch.feedback_summary()))
 }
 
-/// One matrix–matrix problem of a batch, by reference.
-#[derive(Debug, Clone, Copy)]
-pub struct MmProblem<'a, T> {
-    /// Left operand.
-    pub a: &'a DenseMatrix<T>,
-    /// Right operand.
-    pub b: &'a DenseMatrix<T>,
-    /// Optional additive term `E` of `C = A·B + E`.
-    pub e: Option<&'a DenseMatrix<T>>,
+/// One problem of a matrix–matrix lane pass, each operand given as
+/// `(cache key, matrix)`.  A fresh solve passes plain matrices under any key
+/// (its capacity-0 cache retains nothing), so it copies no operand to give
+/// it an identity; resident problems convert from
+/// [`crate::MmResidentProblem`].
+#[derive(Clone, Copy)]
+pub(crate) struct MmLane<'a, T> {
+    pub(crate) a: (u64, &'a DenseMatrix<T>),
+    pub(crate) b: (u64, &'a DenseMatrix<T>),
+    pub(crate) e: Option<&'a DenseMatrix<T>>,
 }
 
-/// Computes many independent `C = A·B + E` products on the same `w × w`
-/// array, fanning the **whole pipeline** — operand construction, simulation
-/// and result extraction — out across OS threads per problem
-/// ([`sia_sim::batch::par_map_with`], one warm station per thread), so no
-/// serial prepare phase bounds the speedup.  Outcomes are returned in
-/// problem order and are bit-identical to what [`multiply_mm`] produces for
-/// each problem.
-///
-/// # Errors
-///
-/// Returns the error of the first (lowest-index) failing problem, if any.
-pub fn multiply_mm_batch<T: Scalar>(
-    problems: &[MmProblem<'_, T>],
-    w: usize,
-) -> Result<Vec<MmOutcome<T>>, DbtError> {
-    if w == 0 {
-        return Err(DbtError::ZeroArraySize);
+/// The one problem shape of a lane pass: every problem must be valid and
+/// share lane 0's shape, because lane mates replay one injection tape.
+pub(crate) fn lane_shape<S: Copy + PartialEq>(
+    shapes: impl IntoIterator<Item = Result<S, DbtError>>,
+) -> Result<S, DbtError> {
+    let mut common = None;
+    for (lane, shape) in shapes.into_iter().enumerate() {
+        let shape = shape?;
+        if *common.get_or_insert(shape) != shape {
+            return Err(DbtError::Sim(SimError::LaneMismatch {
+                lane,
+                what: "problem shape",
+            }));
+        }
     }
-    sia_sim::batch::par_map_with(
-        problems,
-        || ArrayStation::new(w).expect("w validated above"),
-        |station, p| multiply_mm_on(station, p.a, p.b, p.e),
-    )
-    .into_iter()
-    .collect()
+    common.ok_or(DbtError::Sim(SimError::LaneMismatch {
+        lane: 0,
+        what: "empty lane batch",
+    }))
 }
 
-/// Computes a batch of `C = A·B + E` products **serially** on a
-/// caller-owned station — the single-array counterpart of
-/// [`multiply_mm_batch`], used by the serving runtime to run a coalesced
-/// batch through the worker's own warm workspace (every member's steps are
-/// recorded in the station's counters structurally, and the whole batch
-/// performs no engine allocation in steady state).  Outcomes are
-/// bit-identical to per-problem [`multiply_mm`] calls.
+/// The matrix–matrix lane pass every solve goes through: stages each
+/// problem's operand bands through `cache` (reporting into the matching
+/// `reports` slot), runs **one** lane-parallel pass of at most
+/// [`crate::MAX_LANES`] same-shape problems on the station, and returns the
+/// shape's schedule together with the run workspace, from which the caller
+/// extracts each lane.  A solo solve is a one-problem pass; a fresh one uses
+/// a capacity-0 cache.
 ///
-/// # Errors
-///
-/// Stops at and returns the error of the first failing problem, if any.
-pub fn multiply_mm_batch_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    problems: &[MmProblem<'_, T>],
-) -> Result<Vec<MmOutcome<T>>, DbtError> {
-    problems
-        .iter()
-        .map(|p| multiply_mm_on(station, p.a, p.b, p.e))
-        .collect()
-}
-
-/// Computes a batch of **same-shape** `C = A·B + E` products on a
-/// caller-owned station in lane-parallel array passes: up to
-/// [`crate::MAX_LANES`] problems share each pass, one value lane per
-/// problem, so the pass costs one tape replay instead of `L`.  The serving
-/// runtime routes coalesced batches (which are same-shape by construction)
-/// through here when lanes are enabled.
-///
-/// Outcomes are bit-identical to per-problem [`multiply_mm`] calls, in
-/// problem order, and each problem is billed the pass's full modeled cycle
-/// count — identical to its solo cost, so closed-form predictions are
-/// unchanged.
+/// The shape-only work — accumulation plan, injection schedule, extraction
+/// map — comes from the cache's schedule memo, once per pass; the jobs are
+/// assembled in the cache's reusable buffer, so a pass whose bands are all
+/// resident (and which has no additive term) allocates nothing.
 ///
 /// # Errors
 ///
 /// The errors of [`multiply_mm`] per problem, plus
 /// [`sia_sim::SimError::LaneMismatch`] (via [`DbtError::Sim`]) if the
 /// problems do not all share one shape.
-pub fn multiply_mm_lanes_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    problems: &[MmProblem<'_, T>],
-) -> Result<Vec<MmOutcome<T>>, DbtError> {
+pub(crate) fn mm_pass<'s, 'p, T, P>(
+    station: &'s mut ArrayStation<T>,
+    cache: &mut BandCache<T>,
+    problems: &[P],
+    reports: &mut [StagingReport],
+) -> Result<(Arc<MmSchedule<T>>, &'s HexScratch<T>), DbtError>
+where
+    T: Scalar,
+    P: Copy + Into<MmLane<'p, T>>,
+{
+    check_cache_w(station, cache);
+    debug_assert_eq!(problems.len(), reports.len());
     let w = station.size();
-    let mut outcomes = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(crate::MAX_LANES) {
-        if chunk.len() == 1 {
-            outcomes.push(multiply_mm_on(station, chunk[0].a, chunk[0].b, chunk[0].e)?);
-            continue;
-        }
-        // Lane mates share one problem shape, so the shape-only work — the
-        // accumulation plan, the flattened injection schedule and the
-        // extraction map — is computed once per chunk, not once per lane;
-        // only the operand bands (and, with an additive term, the literal
-        // injection values) are per-problem.
-        let shape = validate_mm_args(chunk[0].a, chunk[0].b, chunk[0].e, w)?;
-        for (lane, p) in chunk.iter().enumerate().skip(1) {
-            if validate_mm_args(p.a, p.b, p.e, w)? != shape {
-                return Err(DbtError::Sim(SimError::LaneMismatch {
-                    lane,
-                    what: "problem shape",
-                }));
-            }
-        }
-        let schedule = MmSchedule::new(shape)?;
-        let mut jobs = Vec::with_capacity(chunk.len());
-        for p in chunk {
+    let shape = lane_shape(problems.iter().map(|&p| {
+        let p = p.into();
+        validate_mm_args(p.a.1, p.b.1, p.e, w)
+    }))?;
+    let schedule = cache.mm_schedule(shape)?;
+    let mut jobs = std::mem::take(&mut cache.lane_jobs);
+    let staged = problems
+        .iter()
+        .zip(reports.iter_mut())
+        .try_for_each(|(&p, report)| {
+            let p = p.into();
+            *report = StagingReport::default();
             jobs.push(HexJob {
-                a: Arc::new(build_a_hat(p.a, shape.mbar(), w)?),
-                b: Arc::new(build_b_hat(p.b, shape.nbar(), w)?),
+                a: cache.mm_band(BandRole::MmLeft, p.a, shape, report)?,
+                b: cache.mm_band(BandRole::MmRight, p.b, shape, report)?,
                 c_injections: schedule.injections_for(p.e),
             });
-        }
-        let scratch = station.run_hex_lanes(&jobs)?;
-        // One summary per pass: lanes share the feedback schedule, and the
-        // summary's event list is behind an `Arc`, so each outcome's copy
-        // is O(1).
-        let feedback = scratch.feedback_summary();
-        for lane in 0..chunk.len() {
-            outcomes.push(schedule.complete(scratch, lane, feedback.clone()));
-        }
-    }
-    Ok(outcomes)
+            Ok::<_, DbtError>(())
+        });
+    let run = staged.and_then(|()| Ok(station.run_hex_lanes(&jobs)?));
+    // Emptied before it goes back: a leftover job would pin its bands and
+    // keep an evicted band's storage out of the slab pool.
+    jobs.clear();
+    cache.lane_jobs = jobs;
+    Ok((schedule, run?))
 }
 
 /// The **shape-only** half of a matrix–matrix job: the flattened injection
 /// schedule (chain-opening literals zeroed), the slots an additive term
 /// patches, and the extraction map.  None of it depends on operand values,
-/// so one schedule serves every lane of a lane-parallel chunk — which is
-/// what makes lane batching pay: the accumulation plan and injection list
-/// used to be rebuilt per problem and dominated the per-lane cost.
-///
-/// It is also the *injection-schedule template* half of a resident MM
-/// operand (see [`crate::resident`]): the schedule depends only on the
-/// problem shape, so the operand cache keeps one per shape and reuses it
-/// across every job that touches the shape.
+/// so one schedule serves every lane of a lane pass, and the band cache
+/// (see [`crate::resident`]) keeps one per shape and reuses it across every
+/// pass that touches the shape.
 #[derive(Debug)]
 pub(crate) struct MmSchedule<T> {
     pub(crate) shape: MmShape,
@@ -528,8 +507,6 @@ pub(crate) struct MmSchedule<T> {
     final_position: Vec<Option<(usize, usize)>>,
 }
 
-/// Builds the transformed job (operands behind [`Arc`], no band cloning)
-/// plus the extraction map for one problem.
 /// Checks the `A`/`B`/`E` dimension contract shared by [`multiply_mm`] and
 /// the serving runtime's admission control, and returns the problem shape.
 /// Having one checker means admission can never accept a job the solver
@@ -572,26 +549,6 @@ pub fn validate_mm_args<T: Scalar>(
         p: a.cols(),
         m: b.cols(),
     })
-}
-
-fn prepare_mm<T: Scalar>(
-    a: &DenseMatrix<T>,
-    b: &DenseMatrix<T>,
-    e: Option<&DenseMatrix<T>>,
-    w: usize,
-) -> Result<(HexJob<T>, MmSchedule<T>), DbtError> {
-    let shape = validate_mm_args(a, b, e, w)?;
-    let a_hat = build_a_hat(a, shape.mbar(), w)?;
-    let b_hat = build_b_hat(b, shape.nbar(), w)?;
-    debug_assert_eq!(a_hat.rows(), shape.transformed_dim());
-    debug_assert_eq!(b_hat.rows(), shape.transformed_dim());
-    let schedule = MmSchedule::new(shape)?;
-    let job = HexJob {
-        a: Arc::new(a_hat),
-        b: Arc::new(b_hat),
-        c_injections: schedule.injections_for(e),
-    };
-    Ok((job, schedule))
 }
 
 impl<T: Scalar> MmSchedule<T> {
@@ -664,30 +621,29 @@ impl<T: Scalar> MmSchedule<T> {
     ) -> MmOutcome<T> {
         let shape = self.shape;
         let mut c = DenseMatrix::zeros(shape.n, shape.m);
-        let cycles = self.complete_into(scratch, lane, &mut c);
+        self.complete_into(scratch, lane, &mut c);
         let utilization = scratch.utilization();
         MmOutcome {
             c,
             shape,
-            cycles,
+            cycles: scratch.cycles(),
             efficiency: utilization.efficiency(shape.n * shape.m * shape.p),
             activity: utilization.activity(),
             feedback,
         }
     }
 
-    /// Fills a caller-provided matrix with one lane's result and returns the
-    /// measured cycle count — the allocation-free half of
-    /// [`MmSchedule::complete`].  The caller must hand in a matrix already
-    /// shaped `n × m` (e.g. via [`DenseMatrix::reset`] on a recycled one);
-    /// no feedback summary is materialized, because building one clones the
-    /// engine's event list.
+    /// Fills a caller-provided matrix with one lane's result — the
+    /// allocation-free half of [`MmSchedule::complete`].  The caller must
+    /// hand in a matrix already shaped `n × m` (e.g. via
+    /// [`DenseMatrix::reset`] on a recycled one); no feedback summary is
+    /// materialized, because building one clones the engine's event list.
     pub(crate) fn complete_into(
         &self,
         scratch: &HexScratch<T>,
         lane: usize,
         c: &mut DenseMatrix<T>,
-    ) -> usize {
+    ) {
         let shape = self.shape;
         debug_assert_eq!(c.shape(), (shape.n, shape.m));
         for gi in 0..shape.n {
@@ -700,7 +656,6 @@ impl<T: Scalar> MmSchedule<T> {
                 c[(gi, gj)] = value;
             }
         }
-        scratch.cycles()
     }
 }
 
@@ -877,20 +832,26 @@ mod tests {
 
     #[test]
     fn batch_solver_matches_sequential_outcomes() {
+        // A batch is one lane pass through a cache that retains nothing.
+        use crate::{multiply_mm_resident_lanes_on, MmResidentProblem, OperandRef};
         let w = 2;
         let mats: Vec<_> = (0..5u64)
             .map(|s| {
                 (
-                    gen::random_dense_i64(4, 5, 4, 300 + s),
-                    gen::random_dense_i64(5, 3, 4, 400 + s),
+                    OperandRef::named(2 * s, gen::random_dense_i64(4, 5, 4, 300 + s)),
+                    OperandRef::named(2 * s + 1, gen::random_dense_i64(5, 3, 4, 400 + s)),
                 )
             })
             .collect();
-        let problems: Vec<MmProblem<'_, i64>> = mats
+        let problems: Vec<_> = mats
             .iter()
-            .map(|(a, b)| MmProblem { a, b, e: None })
+            .map(|(a, b)| MmResidentProblem { a, b, e: None })
             .collect();
-        let batch = multiply_mm_batch(&problems, w).unwrap();
+        let mut station = ArrayStation::new(w).unwrap();
+        let mut cache = BandCache::new(w, 0);
+        let (batch, _) =
+            multiply_mm_resident_lanes_on(&mut station, &mut cache, &problems).unwrap();
+        assert_eq!(station.stats().hex_runs, problems.len());
         for (p, outcome) in problems.iter().zip(&batch) {
             let solo = multiply_mm(p.a, p.b, None, w).unwrap();
             assert_eq!(outcome.c, solo.c);

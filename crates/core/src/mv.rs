@@ -12,6 +12,10 @@
 //!    array, partial results travel through the `w`-register feedback path;
 //! 4. read the final `y` values off the band rows that carry them.
 //!
+//! Every solve — fresh or resident, solo or lane-parallel — is one pass of
+//! the same lane runner: the transformations come from a band cache (of
+//! capacity 0 for a fresh solve), and a solo solve is a one-lane pass.
+//!
 //! Two schedules are provided, mirroring the paper's §2 discussion:
 //! [`MvSchedule::Simple`] uses every other array cycle (utilization → ½) and
 //! [`MvSchedule::Overlapped`] splits the problem into two disjoint
@@ -19,6 +23,8 @@
 //! line of Fig. 2b).
 
 use crate::analytic::MvShape;
+use crate::mm::lane_shape;
+use crate::resident::{check_cache_w, BandCache, BandRole, StagingReport};
 use crate::{DbtByRows, DbtError};
 use sia_matrix::{DenseMatrix, Scalar};
 use sia_sim::{ArrayStation, FeedbackSummary, LinearScratch, MvStream};
@@ -115,11 +121,11 @@ pub fn multiply_mv<T: Scalar>(
 ///
 /// Identical to [`multiply_mv`] except that the array (and its persistent
 /// run workspace) is provided by the caller instead of being constructed
-/// per call: long-lived owners — the `sia-runtime` worker pool keeps one
-/// station per worker for its whole lifetime — route every job through the
-/// same warm [`sia_sim::LinearScratch`], so the simulation itself performs
-/// no heap allocation in steady state, and the executed array steps are
-/// recorded in the station's cumulative counters *structurally*.
+/// per call: long-lived owners route every job through the same warm
+/// [`sia_sim::LinearScratch`], so the simulation itself performs no heap
+/// allocation in steady state, and the executed array steps are recorded in
+/// the station's cumulative counters *structurally*.  It is the one-problem
+/// case of [`multiply_mv_lanes_on`].
 ///
 /// # Errors
 ///
@@ -131,11 +137,8 @@ pub fn multiply_mv_on<T: Scalar>(
     b: Option<&[T]>,
     schedule: MvSchedule,
 ) -> Result<MvOutcome<T>, DbtError> {
-    let w = station.size();
-    let shape = validate_mv_args(a, x, b, w)?;
-    let prepared = prepare_mv(a, x, b, w, shape, schedule)?;
-    let scratch = station.run_mv(&prepared.streams)?;
-    prepared.finish.complete(scratch, 0)
+    let mut outcomes = multiply_mv_lanes_on(station, &[MvProblem { a, x, b }], schedule)?;
+    Ok(outcomes.pop().expect("one problem, one outcome"))
 }
 
 /// One matrix–vector problem of a batch, by reference.
@@ -149,59 +152,11 @@ pub struct MvProblem<'a, T> {
     pub b: Option<&'a [T]>,
 }
 
-/// Computes many independent `y = A·x + b` products on the same `w`-cell
-/// array with the given schedule, fanning the **whole pipeline** — DBT
-/// transformation, simulation and result extraction — out across OS
-/// threads per problem ([`sia_sim::batch::par_map_with`], one warm station
-/// per thread), so no serial prepare phase bounds the speedup.  Outcomes
-/// are returned in problem order and are bit-identical to what
-/// [`multiply_mv`] produces for each problem.
-///
-/// # Errors
-///
-/// Returns the error of the first (lowest-index) failing problem, if any.
-pub fn multiply_mv_batch<T: Scalar>(
-    problems: &[MvProblem<'_, T>],
-    w: usize,
-    schedule: MvSchedule,
-) -> Result<Vec<MvOutcome<T>>, DbtError> {
-    if w == 0 {
-        return Err(DbtError::ZeroArraySize);
-    }
-    sia_sim::batch::par_map_with(
-        problems,
-        || ArrayStation::new(w).expect("w validated above"),
-        |station, p| multiply_mv_on(station, p.a, p.x, p.b, schedule),
-    )
-    .into_iter()
-    .collect()
-}
-
-/// Computes a batch of `y = A·x + b` products **serially** on a
-/// caller-owned station — the single-array counterpart of
-/// [`multiply_mv_batch`], used by the serving runtime to run a coalesced
-/// batch through the worker's own warm workspace.  Outcomes are
-/// bit-identical to per-problem [`multiply_mv`] calls.
-///
-/// # Errors
-///
-/// Stops at and returns the error of the first failing problem, if any.
-pub fn multiply_mv_batch_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    problems: &[MvProblem<'_, T>],
-    schedule: MvSchedule,
-) -> Result<Vec<MvOutcome<T>>, DbtError> {
-    problems
-        .iter()
-        .map(|p| multiply_mv_on(station, p.a, p.x, p.b, schedule))
-        .collect()
-}
-
 /// Computes a batch of **same-shape** `y = A·x + b` products on a
 /// caller-owned station in lane-parallel array passes: up to
 /// [`crate::MAX_LANES`] problems share each pass, one value lane per
-/// problem — the matrix–vector counterpart of
-/// [`crate::multiply_mm_lanes_on`].
+/// problem.  The operands are transformed fresh, through a [`BandCache`] of
+/// capacity 0 — the resident lane pass with nothing retained.
 ///
 /// Outcomes are bit-identical to per-problem [`multiply_mv`] calls, in
 /// problem order, with each problem billed the pass's full modeled cycle
@@ -217,33 +172,110 @@ pub fn multiply_mv_lanes_on<T: Scalar>(
     problems: &[MvProblem<'_, T>],
     schedule: MvSchedule,
 ) -> Result<Vec<MvOutcome<T>>, DbtError> {
-    let w = station.size();
-    let mut outcomes = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(crate::MAX_LANES) {
-        if chunk.len() == 1 {
-            let p = chunk[0];
-            outcomes.push(multiply_mv_on(station, p.a, p.x, p.b, schedule)?);
-            continue;
-        }
-        let mut prepared = Vec::with_capacity(chunk.len());
-        for p in chunk {
-            let shape = validate_mv_args(p.a, p.x, p.b, w)?;
-            prepared.push(prepare_mv(p.a, p.x, p.b, w, shape, schedule)?);
-        }
-        let jobs: Vec<&[MvStream<T>]> = prepared.iter().map(|p| p.streams.as_slice()).collect();
-        let scratch = station.run_mv_lanes(&jobs)?;
-        for (lane, p) in prepared.into_iter().enumerate() {
-            outcomes.push(p.finish.complete(scratch, lane)?);
-        }
-    }
-    Ok(outcomes)
+    let mut cache = BandCache::new(station.size(), 0);
+    Ok(mv_lanes(station, &mut cache, problems, schedule)?.0)
 }
 
-/// Checks the `A`/`x`/`b` dimension contract shared by [`multiply_mv`],
-/// [`multiply_mv_batch`], the block-sparse variant and the serving
-/// runtime's admission control, and returns the problem shape.  Having one
-/// checker means admission can never accept a job the solver would later
-/// reject.
+/// One problem of a matrix–vector lane pass, the matrix given as
+/// `(cache key, matrix)` — see [`crate::mm::MmLane`].
+#[derive(Clone, Copy)]
+pub(crate) struct MvLane<'a, T> {
+    pub(crate) a: (u64, &'a DenseMatrix<T>),
+    pub(crate) x: &'a [T],
+    pub(crate) b: Option<&'a [T]>,
+}
+
+impl<'a, T> From<MvProblem<'a, T>> for MvLane<'a, T> {
+    fn from(p: MvProblem<'a, T>) -> Self {
+        MvLane {
+            a: (0, p.a),
+            x: p.x,
+            b: p.b,
+        }
+    }
+}
+
+/// The matrix–vector lane runner every solve goes through — the
+/// counterpart of [`crate::mm::mm_pass`].  Each pass of at most
+/// [`crate::MAX_LANES`] same-shape problems stages every problem's
+/// [`DbtByRows`] transformation(s) through `cache`, builds its streams, runs
+/// **one** lane-parallel pass on the station and extracts every lane.
+/// Returns one outcome and one staging report per problem, in problem
+/// order.
+pub(crate) fn mv_lanes<'p, T, P>(
+    station: &mut ArrayStation<T>,
+    cache: &mut BandCache<T>,
+    problems: &[P],
+    schedule: MvSchedule,
+) -> Result<(Vec<MvOutcome<T>>, Vec<StagingReport>), DbtError>
+where
+    T: Scalar,
+    P: Copy + Into<MvLane<'p, T>>,
+{
+    check_cache_w(station, cache);
+    let w = station.size();
+    let mut outcomes = Vec::with_capacity(problems.len());
+    let mut reports = vec![StagingReport::default(); problems.len()];
+    for (chunk, reports) in problems
+        .chunks(crate::MAX_LANES)
+        .zip(reports.chunks_mut(crate::MAX_LANES))
+    {
+        let shape = lane_shape(chunk.iter().map(|&p| {
+            let p: MvLane<'p, T> = p.into();
+            validate_mv_args(p.a.1, p.x, p.b, w)
+        }))?;
+        // The single-block-row fallback of the overlapped schedule is part
+        // of the cache role, so a fallback serve and an overlapped serve
+        // never share an artifact by accident.
+        let role = if schedule == MvSchedule::Overlapped && overlap_splittable(shape) {
+            BandRole::MvOverlapped
+        } else {
+            BandRole::MvSimple
+        };
+        let mut dbts = Vec::with_capacity(chunk.len());
+        let mut jobs = Vec::with_capacity(chunk.len());
+        for (&p, report) in chunk.iter().zip(reports.iter_mut()) {
+            let p: MvLane<'p, T> = p.into();
+            let lane_dbts = cache.mv_dbts(role, p.a, shape, report)?;
+            jobs.push(mv_streams(&lane_dbts, p.x, p.b)?);
+            dbts.push(lane_dbts);
+        }
+        let scratch = station.run_mv_lanes(&jobs)?;
+        for (lane, lane_dbts) in dbts.iter().enumerate() {
+            outcomes.push(complete_mv_lane(lane_dbts, shape, schedule, scratch, lane)?);
+        }
+    }
+    Ok((outcomes, reports))
+}
+
+/// Builds one problem's array streams from its transformation(s): one
+/// stream under the simple schedule, or the two halves of the overlapped
+/// split (the dotted line of Fig. 2b), each taking its own rows of `b`.  The
+/// bands go to the streams behind shared handles
+/// ([`DbtByRows::band_shared`]) — no coefficient storage is cloned.
+fn mv_streams<T: Scalar>(
+    dbts: &[DbtByRows<T>],
+    x: &[T],
+    mut b: Option<&[T]>,
+) -> Result<Vec<MvStream<T>>, DbtError> {
+    dbts.iter()
+        .map(|dbt| {
+            let rows = dbt.original_shape().0;
+            let part = b.map(|b| &b[..rows]);
+            b = b.map(|b| &b[rows..]);
+            Ok(MvStream {
+                band: dbt.band_shared(),
+                x: dbt.transform_x(x)?,
+                y_injections: dbt.y_injections(part)?,
+            })
+        })
+        .collect()
+}
+
+/// Checks the `A`/`x`/`b` dimension contract shared by [`multiply_mv`], the
+/// block-sparse variant and the serving runtime's admission control, and
+/// returns the problem shape.  Having one checker means admission can never
+/// accept a job the solver would later reject.
 ///
 /// # Errors
 ///
@@ -283,38 +315,11 @@ pub fn validate_mv_args<T: Scalar>(
     })
 }
 
-/// A problem transformed into array streams plus the recipe to read the
-/// result back out.
-struct PreparedMv<T> {
-    streams: Vec<MvStream<T>>,
-    finish: MvFinish<T>,
-}
-
-/// Extraction state: the transformation objects know which band rows carry
-/// the final values.
-struct MvFinish<T> {
-    shape: MvShape,
-    schedule: MvSchedule,
-    /// One transformation per stream (one for simple, two for overlapped).
-    dbts: Vec<DbtByRows<T>>,
-}
-
-impl<T: Scalar> MvFinish<T> {
-    /// Extracts the result vector of one lane from the engine workspace of
-    /// the run (`lane` is `0` for a solo run).
-    fn complete(self, scratch: &LinearScratch<T>, lane: usize) -> Result<MvOutcome<T>, DbtError> {
-        complete_mv_lane(&self.dbts, self.shape, self.schedule, scratch, lane)
-    }
-}
-
 /// Extracts one lane's result vector from the engine workspace, given the
-/// transformation objects of the run's streams.  Shared by the owned
-/// per-run finish state above and by the resident-operand serve path
-/// ([`crate::resident`]), whose transformations live in a cache — both go
-/// through the exact same extraction, so cached serving is structurally
-/// bit-identical to fresh serving.
-pub(crate) fn complete_mv_lane<T: Scalar, D: std::borrow::Borrow<DbtByRows<T>>>(
-    dbts: &[D],
+/// transformation objects of the lane's streams (they know which band rows
+/// carry the final values).
+fn complete_mv_lane<T: Scalar>(
+    dbts: &[DbtByRows<T>],
     shape: MvShape,
     schedule: MvSchedule,
     scratch: &LinearScratch<T>,
@@ -326,7 +331,6 @@ pub(crate) fn complete_mv_lane<T: Scalar, D: std::borrow::Borrow<DbtByRows<T>>>(
     // order-independent anyway).
     let mut y_hat: Vec<T> = Vec::new();
     for (stream, dbt) in dbts.iter().enumerate() {
-        let dbt = dbt.borrow();
         y_hat.clear();
         y_hat.resize(dbt.band().rows(), T::zero());
         let produced = scratch.collect_y_lane_into(stream, lane, &mut y_hat);
@@ -358,7 +362,7 @@ pub(crate) fn complete_mv_lane<T: Scalar, D: std::borrow::Borrow<DbtByRows<T>>>(
 /// solver's fallback predicate (a single block row cannot be split, so the
 /// simple schedule runs instead), shared with [`predicted_mv_cycles`] so
 /// admission pricing cannot desync from execution.
-pub(crate) fn overlap_splittable(shape: MvShape) -> bool {
+fn overlap_splittable(shape: MvShape) -> bool {
     shape.nbar() >= 2
 }
 
@@ -382,72 +386,6 @@ pub fn predicted_mv_cycles(shape: MvShape, schedule: MvSchedule) -> (usize, bool
         }
         MvSchedule::Overlapped => (shape.cycles_overlapped(), false),
     }
-}
-
-/// Builds the stream set for one problem.  The DBT bands are handed to the
-/// streams behind shared handles ([`DbtByRows::band_shared`]) — no
-/// coefficient storage is cloned.
-fn prepare_mv<T: Scalar>(
-    a: &DenseMatrix<T>,
-    x: &[T],
-    b: Option<&[T]>,
-    w: usize,
-    shape: MvShape,
-    schedule: MvSchedule,
-) -> Result<PreparedMv<T>, DbtError> {
-    if schedule == MvSchedule::Overlapped && overlap_splittable(shape) {
-        // Split at an original block-row boundary (the dotted line of
-        // Fig. 2b): the first ⌈n̄/2⌉ block rows form one sub-problem, the
-        // rest the other, interleaved in the array's idle cycles.
-        let nbar = shape.nbar();
-        let split_rows = (nbar / 2) * w;
-        let top = a.submatrix(0, 0, split_rows, a.cols());
-        let bottom = a.submatrix(split_rows, 0, a.rows() - split_rows, a.cols());
-        let zero = vec![T::zero(); a.rows()];
-        let b_full = b.unwrap_or(&zero);
-        let (b_top, b_bottom) = b_full.split_at(split_rows.min(b_full.len()));
-
-        let dbt_top = DbtByRows::new(&top, w)?;
-        let dbt_bottom = DbtByRows::new(&bottom, w)?;
-        let streams = vec![
-            MvStream {
-                band: dbt_top.band_shared(),
-                x: dbt_top.transform_x(x)?,
-                y_injections: dbt_top.y_injections(Some(b_top))?,
-            },
-            MvStream {
-                band: dbt_bottom.band_shared(),
-                x: dbt_bottom.transform_x(x)?,
-                y_injections: dbt_bottom.y_injections(Some(b_bottom))?,
-            },
-        ];
-        return Ok(PreparedMv {
-            streams,
-            finish: MvFinish {
-                shape,
-                schedule,
-                dbts: vec![dbt_top, dbt_bottom],
-            },
-        });
-    }
-    // Simple schedule — also the fallback for an overlapped request on a
-    // single block row, which cannot be split (the outcome still reports
-    // `Overlapped` predictions via `shape`, but the measured numbers are
-    // the honest ones).
-    let dbt = DbtByRows::new(a, w)?;
-    let streams = vec![MvStream {
-        band: dbt.band_shared(),
-        x: dbt.transform_x(x)?,
-        y_injections: dbt.y_injections(b)?,
-    }];
-    Ok(PreparedMv {
-        streams,
-        finish: MvFinish {
-            shape,
-            schedule,
-            dbts: vec![dbt],
-        },
-    })
 }
 
 #[cfg(test)]

@@ -22,34 +22,37 @@
 //!   free/alloc pair ([`build_a_hat_with`]).  MM injection-schedule
 //!   templates (shape-only) are kept in a small side table.
 //! * `multiply_*_resident_*` — serve entry points that are **bit-identical**
-//!   to their fresh-transform counterparts (they run the same simulator on
-//!   the same bands and extract through the same code paths) and report
-//!   what they staged via [`StagingReport`].
+//!   to their fresh-transform counterparts and report what they staged via
+//!   [`StagingReport`].  They are not a separate path: every solve in this
+//!   crate is a lane pass through a `BandCache`, and a fresh solve is the
+//!   capacity-0 case.
 //!
 //! Staging is priced apart from compute: a staged band costs one cycle per
 //! stored band position (`rows × bandwidth` — the bytes that move) and the
 //! closed forms [`mm_staging_cycles`] / [`mv_staging_cycles`] /
 //! [`sparse_staging_cycles`] predict that cost exactly without building
 //! anything, so an admission controller can price a cold operand placement
-//! the same way the paper prices compute.  The warm path — both bands
+//! the same way the paper prices compute.  The warm path — every band
 //! resident, no additive term — performs **no heap allocation** from lookup
-//! through result extraction ([`multiply_mm_resident_into`]).
+//! through result extraction ([`multiply_mm_resident_into`]), solo or
+//! lane-parallel.
 //!
 //! [`build_a_hat_with`]: crate::build_a_hat_with
 
 use crate::analytic::{MmShape, MvShape};
-use crate::mm::MmSchedule;
-use crate::mv::{complete_mv_lane, overlap_splittable};
+use crate::mm::{mm_pass, MmLane, MmSchedule};
+use crate::mv::{mv_lanes, MvLane};
 use crate::sparse::{
     build_sparse_resident, serve_sparse_resident, SparseMvOutcome, SparsePlan, SparseResident,
 };
 use crate::{
-    build_a_hat_with, build_b_hat_with, validate_mm_args, validate_mv_args, DbtByRows, DbtError,
-    MmOutcome, MvOutcome, MvSchedule,
+    build_a_hat_with, build_b_hat_with, validate_mv_args, DbtByRows, DbtError, MmOutcome,
+    MvOutcome, MvSchedule,
 };
 use sia_matrix::{BandMatrix, DenseMatrix, Scalar};
-use sia_sim::{ArrayStation, HexJob, MvStream, ResidencyLru, ResidencyStats, SimError};
+use sia_sim::{ArrayStation, HexJob, ResidencyLru, ResidencyStats};
 use std::ops::Deref;
+use std::slice;
 use std::sync::Arc;
 
 /// Maximum number of shape-keyed MM injection-schedule templates a
@@ -230,21 +233,10 @@ impl StagingReport {
         self.misses == 0 && self.hits > 0
     }
 
-    fn note_staged(&mut self, key: u64) {
-        for slot in &mut self.staged {
-            if slot.is_none() {
-                *slot = Some(key);
-                return;
-            }
-        }
-    }
-
-    fn note_evicted(&mut self, key: u64) {
-        for slot in &mut self.evicted {
-            if slot.is_none() {
-                *slot = Some(key);
-                return;
-            }
+    /// Records `key` in the first free slot of `slots`.
+    fn note(slots: &mut [Option<u64>; 2], key: u64) {
+        if let Some(slot) = slots.iter_mut().find(|slot| slot.is_none()) {
+            *slot = Some(key);
         }
     }
 }
@@ -255,7 +247,7 @@ impl StagingReport {
 /// One of these lives next to each [`ArrayStation`] of a serving runtime;
 /// capacity `0` disables residency entirely (every serve stages fresh and
 /// nothing is retained), which is the control arm of the residency
-/// experiment.
+/// experiment and the cache every fresh solve runs through.
 #[derive(Debug)]
 pub struct BandCache<T: Scalar = f64> {
     w: usize,
@@ -265,17 +257,25 @@ pub struct BandCache<T: Scalar = f64> {
     plans: Vec<(MmShape, Arc<MmSchedule<T>>)>,
     /// Storage buffers of evicted MM bands, recycled into replacements.
     slabs: Vec<Vec<T>>,
+    /// The MM lane pass assembles its jobs here, so a warm pass allocates
+    /// nothing; always empty between passes.
+    pub(crate) lane_jobs: Vec<HexJob<T>>,
 }
 
 impl<T: Scalar> BandCache<T> {
     /// Creates a cache for stations of size `w` holding at most `capacity`
     /// resident artifacts.
     pub fn new(w: usize, capacity: usize) -> Self {
+        // Long-lived caches reserve their side tables up front so a warm
+        // serve never grows them; the throwaway capacity-0 cache of a fresh
+        // solve reserves nothing.
+        let reserve = |cap: usize| if capacity == 0 { 0 } else { cap };
         BandCache {
             w,
             lru: ResidencyLru::new(capacity),
-            plans: Vec::with_capacity(PLAN_CAP),
-            slabs: Vec::with_capacity(SLAB_CAP),
+            plans: Vec::with_capacity(reserve(PLAN_CAP)),
+            slabs: Vec::with_capacity(reserve(SLAB_CAP)),
+            lane_jobs: Vec::new(),
         }
     }
 
@@ -318,7 +318,7 @@ impl<T: Scalar> BandCache<T> {
                 return;
             }
             report.evictions += 1;
-            report.note_evicted(evicted_key.operand);
+            StagingReport::note(&mut report.evicted, evicted_key.operand);
             self.reclaim(evicted);
         }
     }
@@ -335,11 +335,12 @@ impl<T: Scalar> BandCache<T> {
         }
     }
 
-    /// Looks up (or stages) the MM band of `operand` in `role` for `shape`.
-    fn mm_band(
+    /// Looks up (or stages) the MM band of `operand` — `(cache key, matrix)`
+    /// — in `role` for `shape`.
+    pub(crate) fn mm_band(
         &mut self,
         role: BandRole,
-        operand: &OperandRef<T>,
+        (operand, matrix): (u64, &DenseMatrix<T>),
         shape: MmShape,
         report: &mut StagingReport,
     ) -> Result<Arc<BandMatrix<T>>, DbtError> {
@@ -349,7 +350,7 @@ impl<T: Scalar> BandCache<T> {
             _ => unreachable!("mm_band is only called with MM roles"),
         };
         let key = BandKey {
-            operand: operand.key(),
+            operand,
             role,
             rep: rep as u32,
             w: self.w as u32,
@@ -361,30 +362,31 @@ impl<T: Scalar> BandCache<T> {
         report.misses += 1;
         let storage = self.slabs.pop().unwrap_or_default();
         let band = match role {
-            BandRole::MmLeft => build_a_hat_with(operand.matrix(), rep, self.w, storage)?,
-            BandRole::MmRight => build_b_hat_with(operand.matrix(), rep, self.w, storage)?,
+            BandRole::MmLeft => build_a_hat_with(matrix, rep, self.w, storage)?,
+            BandRole::MmRight => build_b_hat_with(matrix, rep, self.w, storage)?,
             _ => unreachable!("mm_band is only called with MM roles"),
         };
         let cycles = band.rows() * band.bandwidth();
         self.lru.note_staged(cycles);
         report.staging_cycles += cycles;
-        report.note_staged(operand.key());
+        StagingReport::note(&mut report.staged, operand);
         let arc = Arc::new(band);
         self.insert(key, ResidentBand::Hat(Arc::clone(&arc)), report);
         Ok(arc)
     }
 
     /// Looks up (or stages) the [`DbtByRows`] transformation(s) of an MV
-    /// operand for the given effective schedule role.
-    fn mv_dbts(
+    /// operand — `(cache key, matrix)` — for the given effective schedule
+    /// role.
+    pub(crate) fn mv_dbts(
         &mut self,
         role: BandRole,
-        operand: &OperandRef<T>,
+        (operand, a): (u64, &DenseMatrix<T>),
         shape: MvShape,
         report: &mut StagingReport,
     ) -> Result<Arc<Vec<DbtByRows<T>>>, DbtError> {
         let key = BandKey {
-            operand: operand.key(),
+            operand,
             role,
             rep: 0,
             w: self.w as u32,
@@ -394,10 +396,10 @@ impl<T: Scalar> BandCache<T> {
             return Ok(Arc::clone(dbts));
         }
         report.misses += 1;
-        let a = operand.matrix();
         let dbts = if role == BandRole::MvOverlapped {
-            // Split at an original block-row boundary, exactly as the fresh
-            // path does — cached bands are bit-identical by construction.
+            // Split at an original block-row boundary (the dotted line of
+            // Fig. 2b): the first ⌊n̄/2⌋ block rows form one sub-problem,
+            // the rest the other, interleaved in the array's idle cycles.
             let split_rows = (shape.nbar() / 2) * self.w;
             let top = a.submatrix(0, 0, split_rows, a.cols());
             let bottom = a.submatrix(split_rows, 0, a.rows() - split_rows, a.cols());
@@ -414,7 +416,7 @@ impl<T: Scalar> BandCache<T> {
             .sum();
         self.lru.note_staged(cycles);
         report.staging_cycles += cycles;
-        report.note_staged(operand.key());
+        StagingReport::note(&mut report.staged, operand);
         let arc = Arc::new(dbts);
         self.insert(key, ResidentBand::Mv(Arc::clone(&arc)), report);
         Ok(arc)
@@ -441,14 +443,14 @@ impl<T: Scalar> BandCache<T> {
         let cycles = resident.band.rows() * resident.band.bandwidth();
         self.lru.note_staged(cycles);
         report.staging_cycles += cycles;
-        report.note_staged(operand.key());
+        StagingReport::note(&mut report.staged, operand.key());
         let arc = Arc::new(resident);
         self.insert(key, ResidentBand::Sparse(Arc::clone(&arc)), report);
         Ok(arc)
     }
 
     /// The memoized MM injection-schedule template of a shape.
-    fn mm_schedule(&mut self, shape: MmShape) -> Result<Arc<MmSchedule<T>>, DbtError> {
+    pub(crate) fn mm_schedule(&mut self, shape: MmShape) -> Result<Arc<MmSchedule<T>>, DbtError> {
         if let Some((_, schedule)) = self.plans.iter().find(|(s, _)| *s == shape) {
             return Ok(Arc::clone(schedule));
         }
@@ -480,7 +482,8 @@ pub fn sparse_staging_cycles(plan: &SparsePlan) -> usize {
     plan.appended_blocks() * plan.w * plan.w
 }
 
-fn check_cache_w<T: Scalar>(station: &ArrayStation<T>, cache: &BandCache<T>) {
+/// Panics unless `cache` was built for `station`'s array size.
+pub(crate) fn check_cache_w<T: Scalar>(station: &ArrayStation<T>, cache: &BandCache<T>) {
     assert_eq!(
         station.size(),
         cache.array_size(),
@@ -499,33 +502,22 @@ pub struct MmResidentProblem<'a, T: Scalar> {
     pub e: Option<&'a DenseMatrix<T>>,
 }
 
-/// Assembles the transformed job of one MM problem from the cache: three
-/// `Arc` bumps on a full hit, band builds on misses.
-fn mm_job_from_cache<T: Scalar>(
-    cache: &mut BandCache<T>,
-    a: &OperandRef<T>,
-    b: &OperandRef<T>,
-    e: Option<&DenseMatrix<T>>,
-    shape: MmShape,
-    report: &mut StagingReport,
-) -> Result<(HexJob<T>, Arc<MmSchedule<T>>), DbtError> {
-    let schedule = cache.mm_schedule(shape)?;
-    let a_band = cache.mm_band(BandRole::MmLeft, a, shape, report)?;
-    let b_band = cache.mm_band(BandRole::MmRight, b, shape, report)?;
-    let job = HexJob {
-        a: a_band,
-        b: b_band,
-        c_injections: schedule.injections_for(e),
-    };
-    Ok((job, schedule))
+impl<'a, T: Scalar> From<MmResidentProblem<'a, T>> for MmLane<'a, T> {
+    fn from(p: MmResidentProblem<'a, T>) -> Self {
+        MmLane {
+            a: (p.a.key(), p.a.matrix()),
+            b: (p.b.key(), p.b.matrix()),
+            e: p.e,
+        }
+    }
 }
 
 /// Computes `C = A·B + E` through the station's resident band cache,
 /// returning the full outcome plus what the serve staged.
 ///
-/// Bit-identical to [`crate::multiply_mm_on`]: a staged band is built by
-/// the same constructors, a resident band *is* the band a previous serve
-/// built, and simulation/extraction are shared code.
+/// Bit-identical to [`crate::multiply_mm_on`]: both are the same lane pass,
+/// a staged band is built by the same constructors, and a resident band
+/// *is* the band a previous serve built.
 ///
 /// # Errors
 ///
@@ -537,98 +529,115 @@ pub fn multiply_mm_resident_on<T: Scalar>(
     b: &OperandRef<T>,
     e: Option<&DenseMatrix<T>>,
 ) -> Result<(MmOutcome<T>, StagingReport), DbtError> {
-    check_cache_w(station, cache);
-    let shape = validate_mm_args(a.matrix(), b.matrix(), e, station.size())?;
     let mut report = StagingReport::default();
-    let (job, schedule) = mm_job_from_cache(cache, a, b, e, shape, &mut report)?;
-    let scratch = station.run_hex(&job)?;
-    let feedback = scratch.feedback_summary();
-    Ok((schedule.complete(scratch, 0, feedback), report))
+    let problem = [MmResidentProblem { a, b, e }];
+    let (schedule, scratch) = mm_pass(station, cache, &problem, slice::from_mut(&mut report))?;
+    Ok((
+        schedule.complete(scratch, 0, scratch.feedback_summary()),
+        report,
+    ))
 }
 
-/// Computes `C = A·B + E` through the resident cache into a caller-provided
-/// result matrix, returning the measured cycle count and the staging
-/// report.
+/// Computes up to [`crate::MAX_LANES`] same-shape `C = A·B + E` products
+/// in **one** lane pass through the resident cache, into caller-provided
+/// result matrices, writing one staging report per problem and returning
+/// the modeled cycle count each problem is billed.  A solo serve passes
+/// one-element slices.
 ///
-/// This is the **zero-allocation** serve path: when both bands are resident
-/// and `e` is `None`, no heap allocation happens between entry and return —
-/// the job is three `Arc` bumps, the simulator runs in the station's warm
-/// workspace, `out` is reshaped in place ([`DenseMatrix::reset`] reuses its
-/// storage), and no feedback summary is materialized.
+/// This is the **zero-allocation** serve path: when every band is resident
+/// and no problem has an additive term, no heap allocation happens between
+/// entry and return — each job is three `Arc` bumps assembled in the
+/// cache's reusable buffer, the simulator runs in the station's warm
+/// workspace, each output is reshaped in place ([`DenseMatrix::reset`]
+/// reuses its storage), and no feedback summary is materialized.
 ///
 /// # Errors
 ///
-/// The errors of [`crate::multiply_mm`].
+/// The errors of [`multiply_mm_resident_lanes_on`].
+///
+/// # Panics
+///
+/// Panics on more than [`crate::MAX_LANES`] problems, or unless `outs` and
+/// `reports` have one slot per problem.
 pub fn multiply_mm_resident_into<T: Scalar>(
     station: &mut ArrayStation<T>,
     cache: &mut BandCache<T>,
-    a: &OperandRef<T>,
-    b: &OperandRef<T>,
-    e: Option<&DenseMatrix<T>>,
-    out: &mut DenseMatrix<T>,
-) -> Result<(usize, StagingReport), DbtError> {
-    check_cache_w(station, cache);
-    let shape = validate_mm_args(a.matrix(), b.matrix(), e, station.size())?;
-    let mut report = StagingReport::default();
-    let (job, schedule) = mm_job_from_cache(cache, a, b, e, shape, &mut report)?;
-    let scratch = station.run_hex(&job)?;
-    out.reset(shape.n, shape.m);
-    let cycles = schedule.complete_into(scratch, 0, out);
-    Ok((cycles, report))
+    problems: &[MmResidentProblem<'_, T>],
+    outs: &mut [DenseMatrix<T>],
+    reports: &mut [StagingReport],
+) -> Result<usize, DbtError> {
+    assert!(problems.len() <= crate::MAX_LANES, "one lane pass at most");
+    assert!(
+        outs.len() == problems.len() && reports.len() == problems.len(),
+        "one output and one report per problem"
+    );
+    let (schedule, scratch) = mm_pass(station, cache, problems, reports)?;
+    for (lane, out) in outs.iter_mut().enumerate() {
+        out.reset(schedule.shape.n, schedule.shape.m);
+        schedule.complete_into(scratch, lane, out);
+    }
+    Ok(scratch.cycles())
 }
 
 /// Computes a batch of **same-shape** `C = A·B + E` products through the
-/// resident cache in lane-parallel array passes — the resident counterpart
-/// of [`crate::multiply_mm_lanes_on`], with one [`StagingReport`] per
-/// problem (lane mates sharing an operand hit what their predecessor lane
-/// staged).
+/// resident cache in lane-parallel array passes: up to
+/// [`crate::MAX_LANES`] problems share each pass, one value lane per
+/// problem, so the pass costs one tape replay instead of `L`.  Returns one
+/// [`StagingReport`] per problem (lane mates sharing an operand hit what
+/// their predecessor lane staged).
+///
+/// Outcomes are bit-identical to per-problem [`crate::multiply_mm`] calls,
+/// in problem order, and each problem is billed the pass's full modeled
+/// cycle count — identical to its solo cost, so closed-form predictions are
+/// unchanged.  A cache of capacity 0 makes this a fresh batch solve.
 ///
 /// # Errors
 ///
-/// The errors of [`crate::multiply_mm_lanes_on`].
+/// The errors of [`crate::multiply_mm`] per problem, plus
+/// [`sia_sim::SimError::LaneMismatch`] (via [`DbtError::Sim`]) if the
+/// problems of a pass do not all share one shape.
 pub fn multiply_mm_resident_lanes_on<T: Scalar>(
     station: &mut ArrayStation<T>,
     cache: &mut BandCache<T>,
     problems: &[MmResidentProblem<'_, T>],
 ) -> Result<(Vec<MmOutcome<T>>, Vec<StagingReport>), DbtError> {
-    check_cache_w(station, cache);
-    let w = station.size();
     let mut outcomes = Vec::with_capacity(problems.len());
-    let mut reports = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(crate::MAX_LANES) {
-        if chunk.len() == 1 {
-            let p = chunk[0];
-            let (outcome, report) = multiply_mm_resident_on(station, cache, p.a, p.b, p.e)?;
-            outcomes.push(outcome);
-            reports.push(report);
-            continue;
-        }
-        let shape = validate_mm_args(chunk[0].a.matrix(), chunk[0].b.matrix(), chunk[0].e, w)?;
-        for (lane, p) in chunk.iter().enumerate().skip(1) {
-            if validate_mm_args(p.a.matrix(), p.b.matrix(), p.e, w)? != shape {
-                return Err(DbtError::Sim(SimError::LaneMismatch {
-                    lane,
-                    what: "problem shape",
-                }));
-            }
-        }
-        let mut jobs = Vec::with_capacity(chunk.len());
-        let mut schedule = None;
-        for p in chunk {
-            let mut report = StagingReport::default();
-            let (job, sched) = mm_job_from_cache(cache, p.a, p.b, p.e, shape, &mut report)?;
-            jobs.push(job);
-            reports.push(report);
-            schedule = Some(sched);
-        }
-        let schedule = schedule.expect("chunk is non-empty");
-        let scratch = station.run_hex_lanes(&jobs)?;
+    let mut reports = vec![StagingReport::default(); problems.len()];
+    for (chunk, reports) in problems
+        .chunks(crate::MAX_LANES)
+        .zip(reports.chunks_mut(crate::MAX_LANES))
+    {
+        let (schedule, scratch) = mm_pass(station, cache, chunk, reports)?;
+        // One summary per pass: lanes share the feedback schedule, and the
+        // summary's event list is behind an `Arc`, so each outcome's copy
+        // is O(1).
         let feedback = scratch.feedback_summary();
-        for lane in 0..chunk.len() {
-            outcomes.push(schedule.complete(scratch, lane, feedback.clone()));
-        }
+        outcomes.extend(
+            (0..chunk.len()).map(|lane| schedule.complete(scratch, lane, feedback.clone())),
+        );
     }
     Ok((outcomes, reports))
+}
+
+/// One matrix–vector problem of a resident batch, by reference.
+#[derive(Debug, Clone, Copy)]
+pub struct MvResidentProblem<'a, T: Scalar> {
+    /// The matrix `A`.
+    pub a: &'a OperandRef<T>,
+    /// The vector `x`.
+    pub x: &'a [T],
+    /// Optional additive vector `b` of `y = A·x + b`.
+    pub b: Option<&'a [T]>,
+}
+
+impl<'a, T: Scalar> From<MvResidentProblem<'a, T>> for MvLane<'a, T> {
+    fn from(p: MvResidentProblem<'a, T>) -> Self {
+        MvLane {
+            a: (p.a.key(), p.a.matrix()),
+            x: p.x,
+            b: p.b,
+        }
+    }
 }
 
 /// Computes `y = A·x + b` through the station's resident band cache.
@@ -649,44 +658,29 @@ pub fn multiply_mv_resident_on<T: Scalar>(
     b: Option<&[T]>,
     schedule: MvSchedule,
 ) -> Result<(MvOutcome<T>, StagingReport), DbtError> {
-    check_cache_w(station, cache);
-    let w = station.size();
-    let shape = validate_mv_args(a.matrix(), x, b, w)?;
-    let mut report = StagingReport::default();
-    let overlapped = schedule == MvSchedule::Overlapped && overlap_splittable(shape);
-    let role = if overlapped {
-        BandRole::MvOverlapped
-    } else {
-        BandRole::MvSimple
-    };
-    let dbts = cache.mv_dbts(role, a, shape, &mut report)?;
-    let streams: Vec<MvStream<T>> = if overlapped {
-        let split_rows = (shape.nbar() / 2) * w;
-        let zero = vec![T::zero(); a.matrix().rows()];
-        let b_full = b.unwrap_or(&zero);
-        let (b_top, b_bottom) = b_full.split_at(split_rows.min(b_full.len()));
-        vec![
-            MvStream {
-                band: dbts[0].band_shared(),
-                x: dbts[0].transform_x(x)?,
-                y_injections: dbts[0].y_injections(Some(b_top))?,
-            },
-            MvStream {
-                band: dbts[1].band_shared(),
-                x: dbts[1].transform_x(x)?,
-                y_injections: dbts[1].y_injections(Some(b_bottom))?,
-            },
-        ]
-    } else {
-        vec![MvStream {
-            band: dbts[0].band_shared(),
-            x: dbts[0].transform_x(x)?,
-            y_injections: dbts[0].y_injections(b)?,
-        }]
-    };
-    let scratch = station.run_mv(&streams)?;
-    let outcome = complete_mv_lane(&dbts[..], shape, schedule, scratch, 0)?;
-    Ok((outcome, report))
+    let problem = MvResidentProblem { a, x, b };
+    let (mut outcomes, reports) = mv_lanes(station, cache, &[problem], schedule)?;
+    Ok((
+        outcomes.pop().expect("one problem, one outcome"),
+        reports[0],
+    ))
+}
+
+/// Computes a batch of **same-shape** `y = A·x + b` products through the
+/// resident cache in lane-parallel array passes — the matrix–vector
+/// counterpart of [`multiply_mm_resident_lanes_on`], with one
+/// [`StagingReport`] per problem.
+///
+/// # Errors
+///
+/// The errors of [`crate::multiply_mv_lanes_on`].
+pub fn multiply_mv_resident_lanes_on<T: Scalar>(
+    station: &mut ArrayStation<T>,
+    cache: &mut BandCache<T>,
+    problems: &[MvResidentProblem<'_, T>],
+    schedule: MvSchedule,
+) -> Result<(Vec<MvOutcome<T>>, Vec<StagingReport>), DbtError> {
+    mv_lanes(station, cache, problems, schedule)
 }
 
 /// Computes block-sparse `y = A·x + b` through the station's resident band
@@ -716,7 +710,7 @@ pub fn multiply_mv_block_sparse_resident_on<T: Scalar>(
 mod tests {
     use super::*;
     use crate::sparse::{multiply_mv_block_sparse_on, plan_block_sparse};
-    use crate::{multiply_mm_on, multiply_mv_on};
+    use crate::{multiply_mm_on, multiply_mv_on, validate_mm_args};
     use sia_matrix::gen;
 
     #[test]
@@ -772,18 +766,29 @@ mod tests {
         let a = OperandRef::named(1, gen::random_dense_i64(4, 4, 4, 21));
         let b = OperandRef::named(2, gen::random_dense_i64(4, 4, 4, 22));
         let fresh = multiply_mm_on(&mut station, a.matrix(), b.matrix(), None).unwrap();
-        let mut out = DenseMatrix::zeros(1, 1);
-        let (cycles, _) =
-            multiply_mm_resident_into(&mut station, &mut cache, &a, &b, None, &mut out).unwrap();
-        assert_eq!(out, fresh.c);
-        assert_eq!(cycles, fresh.cycles);
-        // Second serve into the same (now right-sized) output.
-        out.reset(4, 4);
-        let (cycles2, report) =
-            multiply_mm_resident_into(&mut station, &mut cache, &a, &b, None, &mut out).unwrap();
-        assert_eq!(out, fresh.c);
-        assert_eq!(cycles2, fresh.cycles);
-        assert!(report.operand_hit());
+        let problems = [MmResidentProblem {
+            a: &a,
+            b: &b,
+            e: None,
+        }; 3];
+        let mut outs: [DenseMatrix<i64>; 3] = std::array::from_fn(|_| DenseMatrix::zeros(1, 1));
+        let mut reports = [StagingReport::default(); 3];
+        // A cold solo serve, a warm one into the now right-sized output,
+        // then a warm three-lane pass.
+        for (lanes, misses) in [(1, 2), (1, 0), (3, 0)] {
+            let cycles = multiply_mm_resident_into(
+                &mut station,
+                &mut cache,
+                &problems[..lanes],
+                &mut outs[..lanes],
+                &mut reports[..lanes],
+            )
+            .unwrap();
+            assert_eq!(cycles, fresh.cycles);
+            assert!(outs[..lanes].iter().all(|out| *out == fresh.c));
+            assert_eq!(reports[0].misses, misses);
+        }
+        assert!(reports.iter().all(StagingReport::operand_hit));
     }
 
     #[test]

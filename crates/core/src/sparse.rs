@@ -318,7 +318,7 @@ pub(crate) fn serve_sparse_resident<T: Scalar>(
         x: x_hat,
         y_injections: injections,
     };
-    let scratch = station.run_mv(&[stream])?;
+    let scratch = station.run_mv_lanes(&[[stream]])?;
     let mut y_hat = vec![T::zero(); rows];
     let produced = scratch.collect_y_into(0, &mut y_hat);
     // Same guard as the dense path: an incomplete run must error loudly,

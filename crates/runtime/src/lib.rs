@@ -23,7 +23,7 @@
 //!   [`Policy`] (FIFO, shortest-predicted-job-first, deadline-aware,
 //!   weighted-fair over exact predicted-cycle shares), with least-backlog
 //!   routing, work stealing between idle workers, and coalescing of
-//!   same-shape dense jobs into the batch solvers;
+//!   same-shape dense jobs into lane-parallel array passes;
 //! * **lifecycle** — a [`JobTicket`] can [`JobTicket::cancel`] its queued
 //!   job (the job then never occupies an array), poll with
 //!   [`JobTicket::try_wait`] or bound the wait with

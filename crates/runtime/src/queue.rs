@@ -18,10 +18,9 @@
 //! farm.  When the popped job is a dense MM/MV, up to `coalesce_limit − 1`
 //! queued jobs of the *same shape, schedule and priority* that the policy
 //! would have served **consecutively anyway** are taken along — collected
-//! in a single pass over the queue — and served through the batch solvers
-//! (`multiply_mm_batch` / `multiply_mv_batch`), whose outcomes are
-//! bit-identical to per-job runs; coalescing never reorders jobs against
-//! the policy.
+//! in a single pass over the queue — and served as lane-parallel array
+//! passes, whose outcomes are bit-identical to per-job runs; coalescing
+//! never reorders jobs against the policy.
 //!
 //! **Cancellation** happens here too: [`QueueSet::cancel`] removes a still
 //! queued job under the same mutex dispatch runs under, so a cancel racing

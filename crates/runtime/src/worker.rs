@@ -10,14 +10,17 @@
 //! [`JobTicket::wait_timeout`].  Workers enforce deadlines at dispatch: a
 //! job whose absolute deadline has already passed when a worker picks it
 //! up is **shed** (resolved to [`FarmError::DeadlineExceeded`]) without
-//! consuming a single array step.  **Every** job that does run —
-//! singly-served dense jobs, coalesced batches (`multiply_*_batch_on`) and
-//! extension jobs (`solve_*_on`, `gauss_seidel_on`) — runs through the
-//! `_on` solver entry points on the worker's own persistent
-//! [`ArrayStation`], which owns the arrays *and* their run workspaces:
-//! steady-state serving performs no engine allocation (the scratches are
-//! cleared, not freed, between jobs), and every array step is attributed
-//! to the station structurally, by the run itself.
+//! consuming a single array step.  A dispatched batch — one job, or up to
+//! `coalesce_limit` same-shape dense mates — is served by one function,
+//! chunked into lane passes of at most [`FarmConfig::lanes`] jobs: dense
+//! jobs go through the worker's resident [`BandCache`] (a solo job is a
+//! one-lane pass), block-sparse and extension jobs (`solve_*_on`,
+//! `gauss_seidel_on`) through their own `_on` solvers.  Everything runs on
+//! the worker's persistent [`ArrayStation`], which owns the arrays *and*
+//! their run workspaces: steady-state serving performs no engine
+//! allocation (the scratches are cleared, not freed, between jobs), and
+//! every array step is attributed to the station structurally, by the run
+//! itself.
 
 use crate::cost::CostModel;
 use crate::error::FarmError;
@@ -29,10 +32,10 @@ use crate::telemetry::{FarmTelemetry, TenantServed, TenantTelemetry, WorkerTelem
 use crate::trace::{JobEvent, JobEventKind};
 use sia_dbt::ext::{gauss_seidel_on, solve_lower_on, solve_upper_on};
 use sia_dbt::{
-    multiply_mm_resident_into, multiply_mm_resident_lanes_on, multiply_mv_batch_on,
-    multiply_mv_block_sparse_resident_on, multiply_mv_lanes_on, multiply_mv_resident_on, BandCache,
-    DbtError, MmResidentProblem, MvOutcome, MvProblem, MvSchedule, StagingReport,
+    multiply_mm_resident_into, multiply_mv_block_sparse_resident_on, multiply_mv_resident_lanes_on,
+    BandCache, DbtError, MmResidentProblem, MvResidentProblem, StagingReport, MAX_LANES,
 };
+use sia_matrix::DenseMatrix;
 use sia_sim::ArrayStation;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,15 +56,15 @@ pub struct FarmConfig {
     pub policy: Policy,
     /// Maximum same-shape jobs served as one batch (1 disables coalescing).
     pub coalesce_limit: usize,
-    /// Value lanes per array pass for coalesced dense batches: `1` (the
-    /// default) serves a coalesced batch as sequential per-job runs, while
-    /// `L > 1` executes up to `L` shape-mates in **one** lane-parallel pass
-    /// (one injection-tape replay, one value lane per job — see
-    /// [`sia_dbt::multiply_mm_lanes_on`]).  Lane results are bit-identical
+    /// Value lanes per array pass for coalesced dense batches: up to `L`
+    /// shape-mates run in **one** lane-parallel pass (one injection-tape
+    /// replay, one value lane per job — see
+    /// [`sia_dbt::multiply_mm_resident_into`]), and `1` serves a coalesced
+    /// batch as sequential one-lane passes.  Lane results are bit-identical
     /// to sequential serving and every member is billed its solo modeled
     /// cycle count, so predictions stay exact; only wall time changes.
-    /// Values above [`sia_dbt::MAX_LANES`] are served in passes of
-    /// [`sia_dbt::MAX_LANES`].
+    /// Defaults to [`sia_dbt::MAX_LANES`]; [`ArrayFarm::new`] clamps the
+    /// value to `1..=MAX_LANES`.
     pub lanes: usize,
     /// Weighted-fair weights per tenant (unlisted tenants weigh 1; zero
     /// weights are clamped to 1).
@@ -105,7 +108,7 @@ impl FarmConfig {
             linear_workers: 1,
             policy: Policy::Fifo,
             coalesce_limit: 4,
-            lanes: 1,
+            lanes: MAX_LANES,
             tenant_weights: Vec::new(),
             shed_at_admission: None,
             trace_capacity: 4096,
@@ -142,11 +145,12 @@ impl FarmConfig {
         self
     }
 
-    /// Sets the value-lane count for coalesced dense batches (zero is
-    /// clamped to 1; 1 keeps sequential batch serving).
+    /// Sets the value-lane count per array pass for coalesced dense batches
+    /// (1 serves them as sequential one-lane passes; the farm clamps the
+    /// value to `1..=MAX_LANES`).
     #[must_use]
     pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
+        self.lanes = lanes;
         self
     }
 
@@ -325,7 +329,10 @@ impl ArrayFarm {
     /// [`FarmError::Rejected`] with [`DbtError::ZeroArraySize`] when
     /// `config.w == 0`, and [`DbtError::EmptyDimension`] when the farm has
     /// zero workers.
-    pub fn new(config: FarmConfig) -> Result<Self, FarmError> {
+    pub fn new(mut config: FarmConfig) -> Result<Self, FarmError> {
+        // A pass carries at most MAX_LANES jobs, so a wider setting would
+        // only misreport lane occupancy.
+        config.lanes = config.lanes.clamp(1, MAX_LANES);
         let cost = CostModel::new(config.w).map_err(FarmError::Rejected)?;
         if config.hex_workers + config.linear_workers == 0 {
             return Err(FarmError::Rejected(DbtError::EmptyDimension {
@@ -358,7 +365,7 @@ impl ArrayFarm {
             let queues = Arc::clone(&queues);
             let live = Arc::clone(&live);
             let w = config.w;
-            let lanes = config.lanes.max(1);
+            let lanes = config.lanes;
             let band_cache = config.band_cache;
             let handle = std::thread::Builder::new()
                 .name(format!("sia-worker-{index}-{}", class.label()))
@@ -687,6 +694,7 @@ fn worker_loop(
     let mut batch: Vec<QueuedJob> = Vec::new();
     let mut runnable: Vec<QueuedJob> = Vec::new();
     let mut scratch = DispatchScratch::default();
+    let mut buffers = ServeBuffers::default();
     while queues.next_batch_into(index, &mut batch, &mut scratch) {
         let picked_up = Instant::now();
         // Deadline shedding at dispatch: a job whose absolute deadline has
@@ -706,30 +714,18 @@ fn worker_loop(
             continue;
         }
         log.batches += 1;
-        if runnable.len() > 1 {
-            serve_coalesced(
-                index,
-                &mut station,
-                &mut cache,
-                queues,
-                &mut runnable,
-                lanes,
-                picked_up,
-                &mut log,
-                &mut obs,
-            );
-        } else {
-            serve_single(
-                index,
-                &mut station,
-                &mut cache,
-                queues,
-                runnable.pop().expect("single-job batch"),
-                picked_up,
-                &mut log,
-                &mut obs,
-            );
-        }
+        serve(
+            index,
+            &mut station,
+            &mut cache,
+            queues,
+            &mut runnable,
+            lanes,
+            picked_up,
+            &mut buffers,
+            &mut log,
+            &mut obs,
+        );
         let span = picked_up.elapsed();
         log.busy += span;
         if obs.farm.metrics {
@@ -813,9 +809,7 @@ fn deliver(
     picked_up: Instant,
     service: Duration,
     batch_service: Option<Duration>,
-    measured_cycles: usize,
-    report: StagingReport,
-    output: JobOutput,
+    (measured_cycles, report, output): Served,
     log: &mut WorkerTelemetry,
     obs: &mut Obs<'_>,
 ) {
@@ -887,57 +881,25 @@ fn deliver_error(job: QueuedJob, error: DbtError, log: &mut WorkerTelemetry, obs
     job.reply.resolve(Err(FarmError::Execution(error)));
 }
 
-/// Runs a coalesced matrix–matrix batch in lane-parallel passes of at most
-/// `lanes` jobs each (coalesced members are same-shape by construction, so
-/// every pass is a valid lane batch), serving from the worker's resident
-/// band cache.  A single-lane pass degrades to the solo resident path, so
-/// `lanes == 1` keeps the old sequential batch semantics.
-fn serve_mm_lanes(
-    station: &mut ArrayStation,
-    cache: &mut BandCache,
-    problems: &[MmResidentProblem<'_, f64>],
-    lanes: usize,
-) -> Result<(Vec<sia_dbt::MmOutcome<f64>>, Vec<StagingReport>), DbtError> {
-    let mut outcomes = Vec::with_capacity(problems.len());
-    let mut reports = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(lanes) {
-        let (chunk_outcomes, chunk_reports) = multiply_mm_resident_lanes_on(station, cache, chunk)?;
-        outcomes.extend(chunk_outcomes);
-        reports.extend(chunk_reports);
-    }
-    Ok((outcomes, reports))
+/// What one served job hands to delivery: its measured cycles, its staging
+/// report and its output.
+type Served = (usize, StagingReport, JobOutput);
+
+/// The serve path's buffers — result matrices of the pass in flight, served
+/// members of the batch in flight — kept for the worker's life so a warm
+/// serve, solo or coalesced, allocates nothing here.
+#[derive(Default)]
+struct ServeBuffers {
+    outs: Vec<DenseMatrix<f64>>,
+    served: Vec<Served>,
 }
 
-/// The matrix–vector counterpart of [`serve_mm_lanes`].
-fn serve_mv_lanes(
-    station: &mut ArrayStation,
-    problems: &[MvProblem<'_, f64>],
-    schedule: MvSchedule,
-    lanes: usize,
-) -> Result<Vec<MvOutcome<f64>>, DbtError> {
-    let mut outcomes = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(lanes) {
-        outcomes.extend(multiply_mv_lanes_on(station, chunk, schedule)?);
-    }
-    Ok(outcomes)
-}
-
-/// Serves a coalesced batch of same-shape dense jobs through the
-/// station-owned batch solvers: sequential per-job runs
-/// (`multiply_*_batch_on`) when `lanes == 1`, lane-parallel passes
-/// (`multiply_*_lanes_on`, up to `lanes` jobs per array pass) otherwise.
-/// Either way the whole batch reuses the worker's warm workspace, its steps
-/// land on the station structurally, and outcomes are bit-identical to
-/// per-job runs.  Each member's receipt gets the batch span *attributed* by
-/// its measured-cycle share (so per-job service aggregates sum to the real
-/// span instead of multiply-counting it) and carries the raw span in
-/// `batch_service`.
-/// What a coalesced batch's lane solvers return: per-member `(cycles,
-/// output)` pairs plus each member's staging report, or the shared error.
-type CoalescedOutcome = Result<(Vec<(usize, JobOutput)>, Vec<StagingReport>), DbtError>;
-
+/// Serves one dispatched batch — a single job, or up to `coalesce_limit`
+/// same-shape dense mates — in lane passes of at most `lanes` jobs, on the
+/// worker's own station and resident band cache, then delivers it.  A
+/// failed pass fails the whole batch.
 #[allow(clippy::too_many_arguments)]
-fn serve_coalesced(
+fn serve(
     worker: usize,
     station: &mut ArrayStation,
     cache: &mut BandCache,
@@ -945,195 +907,149 @@ fn serve_coalesced(
     batch: &mut Vec<QueuedJob>,
     lanes: usize,
     picked_up: Instant,
+    buffers: &mut ServeBuffers,
     log: &mut WorkerTelemetry,
     obs: &mut Obs<'_>,
 ) {
-    // Lane-occupancy accounting mirrors the `.chunks(lanes)` split of the
-    // lane servers below: `lanes > 1` packs up to `lanes` members per
-    // array pass (each member gets a `LanePacked` event); `lanes == 1`
-    // serves the batch as sequential solo passes.
-    let per_pass = lanes.max(1);
-    for chunk in batch.chunks(per_pass) {
+    let mut outcome = Ok(());
+    for pass in batch.chunks(lanes) {
         if obs.farm.metrics {
-            obs.live.record_lane_pass(chunk.len());
+            obs.live.record_lane_pass(pass.len());
         }
-        if per_pass > 1 {
-            for qj in chunk {
-                obs.event(JobEventKind::LanePacked, qj);
-            }
+        for qj in pass.iter().filter(|_| pass.len() > 1) {
+            obs.event(JobEventKind::LanePacked, qj);
+        }
+        outcome = serve_pass(station, cache, queues, pass, buffers);
+        if outcome.is_err() {
+            break;
         }
     }
-    let outcome: CoalescedOutcome = match &batch[0].job {
-        Job::DenseMm { .. } => {
-            let problems: Vec<MmResidentProblem<'_, f64>> = batch
-                .iter()
-                .map(|qj| match &qj.job {
-                    Job::DenseMm { a, b, e } => MmResidentProblem {
-                        a,
-                        b,
-                        e: e.as_ref(),
-                    },
-                    _ => unreachable!("coalesce keys only group same-kind jobs"),
-                })
-                .collect();
-            serve_mm_lanes(station, cache, &problems, lanes.max(1)).map(|(outcomes, reports)| {
-                (
-                    outcomes
-                        .into_iter()
-                        .map(|o| (o.cycles, JobOutput::Matrix(o.c)))
-                        .collect(),
-                    reports,
-                )
-            })
-        }
-        Job::DenseMv { schedule, .. } => {
-            let schedule = *schedule;
-            let problems: Vec<MvProblem<'_, f64>> = batch
-                .iter()
-                .map(|qj| match &qj.job {
-                    Job::DenseMv { a, x, b, .. } => MvProblem {
-                        a: a.matrix(),
-                        x,
-                        b: b.as_deref(),
-                    },
-                    _ => unreachable!("coalesce keys only group same-kind jobs"),
-                })
-                .collect();
-            let outcomes = if lanes > 1 {
-                serve_mv_lanes(station, &problems, schedule, lanes)
-            } else {
-                multiply_mv_batch_on(station, &problems, schedule)
-            };
-            outcomes.map(|outcomes| {
-                let reports = vec![StagingReport::default(); outcomes.len()];
-                (
-                    outcomes
-                        .into_iter()
-                        .map(|o| (o.cycles, JobOutput::Vector(o.y)))
-                        .collect(),
-                    reports,
-                )
-            })
-        }
-        _ => unreachable!("only dense MM/MV jobs carry a coalesce key"),
-    };
     let span = picked_up.elapsed();
-    match outcome {
-        Ok((outputs, reports)) => {
-            let members = batch.len() as u32;
-            let total_cycles: usize = outputs.iter().map(|(cycles, _)| *cycles).sum();
-            for ((qj, (cycles, output)), report) in batch.drain(..).zip(outputs).zip(reports) {
-                log.coalesced_jobs += 1;
-                settle_staging(station, cache, queues, worker, &qj, &report, obs);
-                // Attribute the span by measured-cycle share; an all-zero
-                // batch (impossible for dense jobs, but cheap to guard)
-                // splits evenly.
-                let service = if total_cycles == 0 {
-                    span / members
-                } else {
-                    span.mul_f64(cycles as f64 / total_cycles as f64)
-                };
-                deliver(
-                    worker,
-                    qj,
-                    picked_up,
-                    service,
-                    Some(span),
-                    cycles,
-                    report,
-                    output,
-                    log,
-                    obs,
-                );
+    if let Err(e) = outcome {
+        for (.., output) in buffers.served.drain(..) {
+            if let JobOutput::Matrix(matrix) = output {
+                queues.recycle_matrix(matrix);
             }
         }
-        Err(e) => {
-            for qj in batch.drain(..) {
-                deliver_error(qj, e.clone(), log, obs);
-            }
+        for qj in batch.drain(..) {
+            deliver_error(qj, e.clone(), log, obs);
         }
+        return;
+    }
+    // A coalesced member's service is the batch span attributed by its
+    // measured-cycle share (so per-job aggregates sum to the real span
+    // instead of multiply-counting it; an all-zero batch — impossible for
+    // dense jobs — splits evenly), and its receipt carries the raw span.
+    let batch_service = (batch.len() > 1).then_some(span);
+    let members = batch.len() as u32;
+    let total_cycles: usize = buffers.served.iter().map(|(cycles, ..)| cycles).sum();
+    for (qj, served) in batch.drain(..).zip(buffers.served.drain(..)) {
+        settle_staging(station, cache, queues, worker, &qj, &served.1, obs);
+        let service = match (batch_service, total_cycles) {
+            (None, _) => span,
+            (Some(_), 0) => span / members,
+            (Some(_), total) => span.mul_f64(served.0 as f64 / total as f64),
+        };
+        log.coalesced_jobs += usize::from(batch_service.is_some());
+        deliver(
+            worker,
+            qj,
+            picked_up,
+            service,
+            batch_service,
+            served,
+            log,
+            obs,
+        );
     }
 }
 
-/// Serves one job on the worker's own station: every solver below is an
-/// `_on` entry point that runs through the station's warm workspaces and
-/// records its array steps there structurally — including the partial work
-/// of a job that fails mid-run (e.g. the sweeps of a non-converging
-/// Gauss–Seidel run), which the old back-attribution scheme lost.  Dense
-/// and block-sparse jobs serve through the worker's resident band cache
-/// (repeat operands skip their DBT staging pass); dense-MM results land in
-/// a pooled output matrix, so a warm repeat-operand serve allocates
-/// nothing.
-#[allow(clippy::too_many_arguments)]
-fn serve_single(
-    worker: usize,
+/// Runs one lane pass — same-shape dense mates, or a single job of any
+/// kind — and appends each job's result to `served`.  Every solver below is
+/// an `_on` entry point on the worker's station, so the pass's array steps
+/// (even the partial work of a job that fails mid-run) land on the station
+/// structurally.  Dense and block-sparse jobs go through the resident band
+/// cache (repeat operands skip their DBT staging pass); dense-MM results
+/// land in pooled matrices without a feedback summary, so a warm
+/// repeat-operand MM pass allocates nothing.
+fn serve_pass(
     station: &mut ArrayStation,
     cache: &mut BandCache,
     queues: &QueueSet,
-    qj: QueuedJob,
-    picked_up: Instant,
-    log: &mut WorkerTelemetry,
-    obs: &mut Obs<'_>,
-) {
-    if obs.farm.metrics {
-        obs.live.record_lane_pass(1);
-    }
-    let outcome: Result<(usize, StagingReport, JobOutput), DbtError> = match &qj.job {
-        Job::DenseMm { a, b, e } => {
-            let mut out = queues.pooled_matrix();
-            match multiply_mm_resident_into(station, cache, a, b, e.as_ref(), &mut out) {
-                Ok((cycles, report)) => Ok((cycles, report, JobOutput::Matrix(out))),
-                Err(error) => {
-                    queues.recycle_matrix(out);
-                    Err(error)
-                }
-            }
+    pass: &[QueuedJob],
+    ServeBuffers { outs, served }: &mut ServeBuffers,
+) -> Result<(), DbtError> {
+    let lanes = pass.len();
+    // Lane problems are `Copy`, so a pass's problems live on the stack;
+    // the slots past the pass repeat its last mate and are never read.
+    let mate = |lane: usize| &pass[lane.min(lanes - 1)].job;
+    let (cycles, report, y) = match &pass[0].job {
+        Job::DenseMm { .. } => {
+            let problems: [_; MAX_LANES] = std::array::from_fn(|lane| match mate(lane) {
+                Job::DenseMm { a, b, e } => MmResidentProblem {
+                    a,
+                    b,
+                    e: e.as_ref(),
+                },
+                _ => unreachable!("coalesce keys only group same-kind jobs"),
+            });
+            let mut reports = [StagingReport::default(); MAX_LANES];
+            outs.extend((0..lanes).map(|_| queues.pooled_matrix()));
+            let result = multiply_mm_resident_into(
+                station,
+                cache,
+                &problems[..lanes],
+                outs,
+                &mut reports[..lanes],
+            );
+            // A failed pass's matrices land in `served` too, and the
+            // batch's error path returns them to the pool.
+            let cycles = *result.as_ref().unwrap_or(&0);
+            let outputs = outs.drain(..).map(JobOutput::Matrix).zip(reports);
+            served.extend(outputs.map(|(output, report)| (cycles, report, output)));
+            return result.map(drop);
         }
-        Job::DenseMv { a, x, b, schedule } => {
-            multiply_mv_resident_on(station, cache, a, x, b.as_deref(), *schedule)
-                .map(|(o, report)| (o.cycles, report, JobOutput::Vector(o.y)))
+        Job::DenseMv { schedule, .. } => {
+            let problems: [_; MAX_LANES] = std::array::from_fn(|lane| match mate(lane) {
+                Job::DenseMv { a, x, b, .. } => MvResidentProblem {
+                    a,
+                    x,
+                    b: b.as_deref(),
+                },
+                _ => unreachable!("coalesce keys only group same-kind jobs"),
+            });
+            let (outcomes, reports) =
+                multiply_mv_resident_lanes_on(station, cache, &problems[..lanes], *schedule)?;
+            let outputs = outcomes.into_iter().zip(reports);
+            served.extend(outputs.map(|(o, report)| (o.cycles, report, JobOutput::Vector(o.y))));
+            return Ok(());
         }
+        // The remaining kinds never coalesce: their pass is a single job.
         Job::BlockSparseMv { a, x, b } => {
-            multiply_mv_block_sparse_resident_on(station, cache, a, x, b.as_deref())
-                .map(|(o, report)| (o.outcome.cycles, report, JobOutput::Vector(o.outcome.y)))
+            let (o, report) =
+                multiply_mv_block_sparse_resident_on(station, cache, a, x, b.as_deref())?;
+            (o.outcome.cycles, report, o.outcome.y)
         }
-        Job::TriangularSolve { a, c, lower } => {
-            let solved = if *lower {
-                solve_lower_on(station, a, c)
-            } else {
-                solve_upper_on(station, a, c)
-            };
-            solved.map(|o| {
-                (
-                    o.work.array_cycles,
-                    StagingReport::default(),
-                    JobOutput::Vector(o.x),
-                )
-            })
+        Job::TriangularSolve { a, c, lower: true } => {
+            let o = solve_lower_on(station, a, c)?;
+            (o.work.array_cycles, StagingReport::default(), o.x)
+        }
+        Job::TriangularSolve { a, c, lower: false } => {
+            let o = solve_upper_on(station, a, c)?;
+            (o.work.array_cycles, StagingReport::default(), o.x)
         }
         Job::GaussSeidel {
             a,
             b,
             tol,
             max_sweeps,
-        } => gauss_seidel_on(station, a, b, *tol, *max_sweeps).map(|o| {
-            (
-                o.work.array_cycles,
-                StagingReport::default(),
-                JobOutput::Vector(o.x),
-            )
-        }),
-    };
-    let service = picked_up.elapsed();
-    match outcome {
-        Ok((cycles, report, output)) => {
-            settle_staging(station, cache, queues, worker, &qj, &report, obs);
-            deliver(
-                worker, qj, picked_up, service, None, cycles, report, output, log, obs,
-            );
+        } => {
+            let o = gauss_seidel_on(station, a, b, *tol, *max_sweeps)?;
+            (o.work.array_cycles, StagingReport::default(), o.x)
         }
-        Err(e) => deliver_error(qj, e, log, obs),
-    }
+    };
+    served.push((cycles, report, JobOutput::Vector(y)));
+    Ok(())
 }
 
 #[cfg(test)]

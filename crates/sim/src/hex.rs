@@ -51,7 +51,6 @@
 //! original shift-everything engine; the equivalence suite in
 //! `tests/properties.rs` holds it to the paper's closed forms.
 
-use crate::batch::par_map_with;
 use crate::plane::{mac_lanes, reset_vec, BitPlane};
 use crate::report::{FeedbackEvent, FeedbackSummary, Utilization};
 use crate::tape::Tape;
@@ -82,9 +81,8 @@ pub type CInjectionSchedule<T> = Arc<Vec<((usize, usize), CInjection<T>)>>;
 /// One band matrix–matrix multiplication job.
 ///
 /// The operands are shared ([`Arc`]) so that jobs can be constructed without
-/// cloning band storage and fanned out across threads by
-/// [`HexArray::run_batch`]; owned matrices convert implicitly through
-/// [`HexJob::product`] or `.into()`.
+/// cloning band storage (lane mates and cached bands share them); owned
+/// matrices convert implicitly through [`HexJob::product`] or `.into()`.
 #[derive(Clone)]
 pub struct HexJob<T> {
     /// Left operand: an upper band matrix (`lower == 0`, bandwidth ≤ `w`).
@@ -1176,50 +1174,6 @@ impl HexArray {
         scratch.skipped_cycles = skipped;
         Ok(())
     }
-
-    /// Runs independent jobs in parallel (scoped OS threads, one chunk per
-    /// core, one reused [`HexScratch`] per thread), returning the reports in
-    /// job order.
-    ///
-    /// Jobs share nothing at run time — operands are behind [`Arc`], every
-    /// engine buffer is per-thread — so this is a pure fan-out; the result
-    /// of each job is bit-identical to what [`HexArray::run`] returns for
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the first (lowest-index) failing job, if any.
-    pub fn run_batch<T: Scalar>(&self, jobs: &[HexJob<T>]) -> Result<Vec<HexReport<T>>, SimError> {
-        par_map_with(jobs, HexScratch::new, |scratch, job| {
-            self.run_with(job, scratch)?;
-            Ok(scratch.report())
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Runs a batch of jobs **serially** through one caller-owned scratch,
-    /// returning the reports in job order.  This is the entry point for
-    /// owners of a single physical array (a [`crate::ArrayStation`] worker
-    /// serving a coalesced batch): every job reuses the same warm buffers,
-    /// so the whole batch performs no heap allocation beyond the reports it
-    /// returns.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the error of the first failing job, if any.
-    pub fn run_batch_with<T: Scalar>(
-        &self,
-        jobs: &[HexJob<T>],
-        scratch: &mut HexScratch<T>,
-    ) -> Result<Vec<HexReport<T>>, SimError> {
-        let mut reports = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            self.run_with(job, scratch)?;
-            reports.push(scratch.report());
-        }
-        Ok(reports)
-    }
 }
 
 #[cfg(test)]
@@ -1541,32 +1495,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_sequential_runs() {
-        let w = 3;
-        let hex = HexArray::new(w).unwrap();
-        let jobs: Vec<HexJob<i64>> = (0..7)
-            .map(|seed| {
-                let (_, ba) = upper_band(5 + seed as usize % 3, w, 80 + seed);
-                let (_, bb) = lower_band(5 + seed as usize % 3, w, 90 + seed);
-                HexJob::product(ba, bb)
-            })
-            .collect();
-        let batch = hex.run_batch(&jobs).unwrap();
-        assert_eq!(batch.len(), jobs.len());
-        let mut scratch = HexScratch::new();
-        let serial = hex.run_batch_with(&jobs, &mut scratch).unwrap();
-        for ((job, batched), serial) in jobs.iter().zip(&batch).zip(&serial) {
-            let solo = hex.run(job).unwrap();
-            assert_eq!(batched.outputs, solo.outputs);
-            assert_eq!(batched.cycles, solo.cycles);
-            assert_eq!(batched.utilization, solo.utilization);
-            assert_eq!(batched.feedback, solo.feedback);
-            assert_eq!(serial.outputs, solo.outputs);
-            assert_eq!(serial.cycles, solo.cycles);
-        }
-    }
-
-    #[test]
     fn lane_parallel_runs_are_bit_identical_to_solo_runs() {
         let w = 3;
         let n = 7;
@@ -1636,20 +1564,5 @@ mod tests {
             .unwrap();
         assert_eq!(scratch.lanes(), 2);
         assert_eq!(scratch.outputs(), scratch.outputs_of(1).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_batch_surfaces_the_first_error() {
-        let w = 3;
-        let hex = HexArray::new(w).unwrap();
-        let (_, ba) = upper_band(5, w, 51);
-        let (_, bb) = lower_band(5, w, 52);
-        let good = HexJob::product(ba, bb);
-        let bad = HexJob::product(
-            BandMatrix::<i64>::new(5, 5, 1, 1).unwrap(),
-            BandMatrix::<i64>::new(5, 5, 1, 0).unwrap(),
-        );
-        let err = hex.run_batch(&[good, bad]).unwrap_err();
-        assert!(matches!(err, SimError::BandProfile { .. }));
     }
 }

@@ -36,11 +36,9 @@
 //! steady-state entry points [`HexArray::run_with`] /
 //! [`LinearArray::run_with`] perform **zero heap allocations** once warm —
 //! [`ArrayStation`] owns one workspace per array, which is how the serving
-//! runtime reaches allocation-free steady-state serving.  Independent jobs
-//! fan out across OS threads through [`HexArray::run_batch`] /
-//! [`LinearArray::run_batch`] (one warm workspace per thread); single-array
-//! owners batch serially through [`HexArray::run_batch_with`] /
-//! [`LinearArray::run_batch_with`].
+//! runtime reaches allocation-free steady-state serving.  A batch of
+//! same-shape jobs is one lane-parallel pass ([`HexArray::run_lanes_with`] /
+//! [`LinearArray::run_lanes_with`]); a single job is the one-lane case.
 //!
 //! The simulators know nothing about the paper's DBT transformation; they
 //! execute whatever band problem and injection schedule they are given.  The
@@ -64,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 mod error;
 pub mod hex;
 pub mod linear;

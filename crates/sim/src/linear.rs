@@ -34,7 +34,6 @@
 //! the next scheduled injection.  The observable behaviour is bit-identical
 //! to the original shift-everything engine.
 
-use crate::batch::par_map_with;
 use crate::plane::{reset_vec, BitPlane};
 use crate::report::{FeedbackEvent, FeedbackSummary, Utilization};
 use crate::SimError;
@@ -61,7 +60,7 @@ pub enum YInjection<T> {
 /// transformation, and also the natural shape for plain upper-band problems.
 ///
 /// The band is shared ([`Arc`]) so streams can be built without cloning the
-/// coefficient storage and fanned out by [`LinearArray::run_batch`]; owned
+/// coefficient storage (lane mates and cached bands share it); owned
 /// matrices convert with `.into()`.
 #[derive(Clone)]
 pub struct MvStream<T> {
@@ -852,49 +851,6 @@ impl LinearArray {
         scratch.skipped_cycles = skipped;
         Ok(())
     }
-
-    /// Runs independent jobs (each a set of one or two interleaved streams)
-    /// in parallel on scoped OS threads (one reused [`LinearScratch`] per
-    /// thread), returning the reports in job order.
-    ///
-    /// Each job's report is bit-identical to what [`LinearArray::run`]
-    /// returns for it; the bands behind the streams are shared via [`Arc`],
-    /// so the fan-out copies no coefficient storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the first (lowest-index) failing job, if any.
-    pub fn run_batch<T: Scalar>(
-        &self,
-        jobs: &[Vec<MvStream<T>>],
-    ) -> Result<Vec<LinearReport<T>>, SimError> {
-        par_map_with(jobs, LinearScratch::new, |scratch, streams| {
-            self.run_with(streams, scratch)?;
-            Ok(scratch.report())
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Runs a batch of jobs **serially** through one caller-owned scratch,
-    /// returning the reports in job order; the single-array counterpart of
-    /// [`LinearArray::run_batch`] (see [`crate::HexArray::run_batch_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the error of the first failing job, if any.
-    pub fn run_batch_with<T: Scalar>(
-        &self,
-        jobs: &[Vec<MvStream<T>>],
-        scratch: &mut LinearScratch<T>,
-    ) -> Result<Vec<LinearReport<T>>, SimError> {
-        let mut reports = Vec::with_capacity(jobs.len());
-        for streams in jobs {
-            self.run_with(streams, scratch)?;
-            reports.push(scratch.report());
-        }
-        Ok(reports)
-    }
 }
 
 #[cfg(test)]
@@ -1190,38 +1146,6 @@ mod tests {
         let report = run_plain(&dense, w, &vec![1i64; cols]);
         let activity = report.utilization.activity();
         assert!(activity > 0.45 && activity <= 0.5, "activity = {activity}");
-    }
-
-    #[test]
-    fn run_batch_matches_sequential_runs() {
-        let w = 3;
-        let array = LinearArray::new(w).unwrap();
-        let jobs: Vec<Vec<MvStream<i64>>> = (0..6u64)
-            .map(|seed| {
-                let rows = 4 + seed as usize % 3;
-                let cols = rows + w - 1;
-                let dense = upper_band_dense(rows, cols, w, 60 + seed);
-                let x = gen::random_vector_i64(cols, 3, 70 + seed);
-                vec![MvStream {
-                    band: BandMatrix::try_from_dense(&dense, 0, w - 1).unwrap().into(),
-                    x,
-                    y_injections: vec![YInjection::Value(0); rows],
-                }]
-            })
-            .collect();
-        let batch = array.run_batch(&jobs).unwrap();
-        assert_eq!(batch.len(), jobs.len());
-        let mut scratch = LinearScratch::new();
-        let serial = array.run_batch_with(&jobs, &mut scratch).unwrap();
-        for ((job, batched), serial) in jobs.iter().zip(&batch).zip(&serial) {
-            let solo = array.run(job).unwrap();
-            assert_eq!(batched.outputs, solo.outputs);
-            assert_eq!(batched.cycles, solo.cycles);
-            assert_eq!(batched.utilization, solo.utilization);
-            assert_eq!(batched.feedback, solo.feedback);
-            assert_eq!(serial.outputs, solo.outputs);
-            assert_eq!(serial.cycles, solo.cycles);
-        }
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!
 //! The station therefore adds three things on top of the raw arrays:
 //! *identity* (a worker never re-creates its arrays per job), *steady-state
-//! reuse* (every job served through [`ArrayStation::run_hex`] /
-//! [`ArrayStation::run_mv`] reuses the same warm buffers, so the serving
-//! hot path performs **no heap allocation** after warm-up), and
-//! *accounting* (every array step it ever executed is attributed to it —
-//! structurally, because the runs themselves go through the station).
+//! reuse* (every pass served through [`ArrayStation::run_hex_lanes`] /
+//! [`ArrayStation::run_mv_lanes`] — a solo job is a one-lane pass — reuses
+//! the same warm buffers, so the serving hot path performs **no heap
+//! allocation** after warm-up), and *accounting* (every array step it ever
+//! executed is attributed to it — structurally, because the runs themselves
+//! go through the station).
 
 use crate::{HexArray, HexJob, HexScratch, LinearArray, LinearScratch, MvStream, SimError};
 use sia_matrix::Scalar;
@@ -114,44 +115,15 @@ impl<T: Scalar> ArrayStation<T> {
         &self.linear
     }
 
-    /// Runs one job through the station's hexagonal array, reusing the
-    /// station's persistent workspace, and records the executed steps in
-    /// the cumulative counters.  Returns the warm workspace for result
-    /// extraction; the serving hot path through here is allocation-free in
-    /// steady state.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`HexArray::run_with`]; failed runs record nothing.
-    pub fn run_hex(&mut self, job: &HexJob<T>) -> Result<&HexScratch<T>, SimError> {
-        self.hex.run_with(job, &mut self.hex_scratch)?;
-        self.stats.hex_runs += 1;
-        self.stats.hex_cycles += self.hex_scratch.cycles();
-        self.stats.hex_skipped_cycles += self.hex_scratch.skipped_cycles();
-        Ok(&self.hex_scratch)
-    }
-
-    /// Runs one or two interleaved streams through the station's linear
-    /// array, reusing the station's persistent workspace, and records the
-    /// executed steps in the cumulative counters.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`LinearArray::run_with`]; failed runs record nothing.
-    pub fn run_mv(&mut self, streams: &[MvStream<T>]) -> Result<&LinearScratch<T>, SimError> {
-        self.linear.run_with(streams, &mut self.linear_scratch)?;
-        self.stats.linear_runs += 1;
-        self.stats.linear_cycles += self.linear_scratch.cycles();
-        self.stats.linear_skipped_cycles += self.linear_scratch.skipped_cycles();
-        Ok(&self.linear_scratch)
-    }
-
     /// Runs a batch of same-shape matrix–matrix jobs in one lane-parallel
     /// array pass (one value lane per job), reusing the station's persistent
-    /// workspace.  Each lane's results are bit-identical to a solo
-    /// [`ArrayStation::run_hex`] of that job, and every lane is billed the
+    /// workspace, and records the executed steps in the cumulative counters.
+    /// A solo job is a one-job slice.  Each lane's results are
+    /// bit-identical to a solo run of that job, and every lane is billed the
     /// pass's full cycle count — exactly what the jobs would each have cost
-    /// sequentially, so the closed-form cost model is unchanged.
+    /// sequentially, so the closed-form cost model is unchanged.  Returns
+    /// the warm workspace for result extraction; the serving hot path
+    /// through here is allocation-free in steady state.
     ///
     /// # Errors
     ///
@@ -167,8 +139,8 @@ impl<T: Scalar> ArrayStation<T> {
 
     /// Runs a batch of same-shape matrix–vector jobs (each one or two
     /// interleaved streams) in one lane-parallel array pass, reusing the
-    /// station's persistent workspace.  The lane-billing convention matches
-    /// [`ArrayStation::run_hex_lanes`].
+    /// station's persistent workspace.  A solo job is a one-job slice; the
+    /// lane-billing convention matches [`ArrayStation::run_hex_lanes`].
     ///
     /// # Errors
     ///
@@ -183,22 +155,6 @@ impl<T: Scalar> ArrayStation<T> {
         self.stats.linear_cycles += jobs.len() * self.linear_scratch.cycles();
         self.stats.linear_skipped_cycles += self.linear_scratch.skipped_cycles();
         Ok(&self.linear_scratch)
-    }
-
-    /// Records a completed hexagonal-array run of the given step count
-    /// (work executed outside [`ArrayStation::run_hex`] that should still be
-    /// attributed to this station).
-    pub fn record_hex(&mut self, cycles: usize) {
-        self.stats.hex_runs += 1;
-        self.stats.hex_cycles += cycles;
-    }
-
-    /// Records a completed linear-array run of the given step count
-    /// (work executed outside [`ArrayStation::run_mv`] that should still be
-    /// attributed to this station).
-    pub fn record_linear(&mut self, cycles: usize) {
-        self.stats.linear_runs += 1;
-        self.stats.linear_cycles += cycles;
     }
 
     /// Records one operand-staging pass (a DBT band materialized next to
@@ -220,61 +176,65 @@ mod tests {
     use super::*;
     use sia_matrix::{BandMatrix, DenseMatrix};
 
+    /// A banded `4 × 4` product for a `w`-wide hexagonal array.
+    fn hex_job(w: usize) -> HexJob<i64> {
+        let da = DenseMatrix::from_fn(4, 4, |i, j| i64::from(j >= i && j < i + w));
+        let db = DenseMatrix::from_fn(4, 4, |i, j| 2 * i64::from(i >= j && i < j + w));
+        HexJob::product(
+            BandMatrix::try_from_dense(&da, 0, w - 1).unwrap(),
+            BandMatrix::try_from_dense(&db, w - 1, 0).unwrap(),
+        )
+    }
+
+    /// A plain three-row band stream for a `w`-cell linear array.
+    fn mv_stream(w: usize) -> MvStream<i64> {
+        let dense = DenseMatrix::from_fn(3, w + 2, |i, j| i64::from(j >= i && j < i + w));
+        MvStream {
+            band: BandMatrix::try_from_dense(&dense, 0, w - 1).unwrap().into(),
+            x: vec![1; w + 2],
+            y_injections: vec![crate::YInjection::Value(0); 3],
+        }
+    }
+
     #[test]
     fn station_accumulates_run_statistics() {
-        let mut station = ArrayStation::<f64>::new(3).unwrap();
-        assert_eq!(station.size(), 3);
-        assert_eq!(station.hex().size(), 3);
-        assert_eq!(station.linear().size(), 3);
-        station.record_hex(100);
-        station.record_hex(50);
-        station.record_linear(25);
+        let w = 2;
+        let mut station = ArrayStation::<i64>::new(w).unwrap();
+        assert_eq!(station.size(), w);
+        assert_eq!(station.hex().size(), w);
+        assert_eq!(station.linear().size(), w);
+        let job = hex_job(w);
+        let pass = station.run_hex_lanes(&[job.clone(), job]).unwrap().cycles();
+        let linear = station.run_mv_lanes(&[[mv_stream(w)]]).unwrap().cycles();
         station.record_staging(40);
         let stats = station.stats();
+        // Every lane is billed the pass's full count.
         assert_eq!(stats.hex_runs, 2);
-        assert_eq!(stats.hex_cycles, 150);
+        assert_eq!(stats.hex_cycles, 2 * pass);
         assert_eq!(stats.linear_runs, 1);
-        assert_eq!(stats.linear_cycles, 25);
+        assert_eq!(stats.linear_cycles, linear);
         assert_eq!(stats.staged_bands, 1);
         assert_eq!(stats.staging_cycles, 40);
         // Staging is not compute: total_cycles is unchanged by it.
-        assert_eq!(stats.total_cycles(), 175);
+        assert_eq!(stats.total_cycles(), 2 * pass + linear);
         assert_eq!(stats.total_runs(), 3);
     }
 
     #[test]
     fn station_runs_attribute_their_steps_structurally() {
+        // A solo job is a one-lane pass, billed exactly its solo run.
         let w = 2;
         let mut station = ArrayStation::<i64>::new(w).unwrap();
-
-        // Hex: a bidiagonal product.
-        let da = DenseMatrix::from_fn(4, 4, |i, j| if j >= i && j < i + w { 1 } else { 0 });
-        let db = DenseMatrix::from_fn(4, 4, |i, j| if i >= j && i < j + w { 2 } else { 0 });
-        let job = HexJob::product(
-            BandMatrix::try_from_dense(&da, 0, w - 1).unwrap(),
-            BandMatrix::try_from_dense(&db, w - 1, 0).unwrap(),
-        );
-        let hex_cycles = station.run_hex(&job).unwrap().cycles();
+        let job = hex_job(w);
+        let solo = std::slice::from_ref(&job);
+        let hex_cycles = station.run_hex_lanes(solo).unwrap().cycles();
         assert_eq!(hex_cycles, station.hex().run(&job).unwrap().cycles);
-
-        // Linear: a plain band stream on the same station.
-        let rows = 3;
-        let dense =
-            DenseMatrix::from_fn(
-                rows,
-                rows + w - 1,
-                |i, j| if j >= i && j < i + w { 1 } else { 0 },
-            );
-        let stream = MvStream {
-            band: BandMatrix::try_from_dense(&dense, 0, w - 1).unwrap().into(),
-            x: vec![1; rows + w - 1],
-            y_injections: vec![crate::YInjection::Value(0); rows],
-        };
-        let linear_cycles = station
-            .run_mv(std::slice::from_ref(&stream))
-            .unwrap()
-            .cycles();
-
+        let stream = mv_stream(w);
+        let linear_cycles = station.run_mv_lanes(&[[stream.clone()]]).unwrap().cycles();
+        assert_eq!(
+            linear_cycles,
+            station.linear().run(&[stream]).unwrap().cycles
+        );
         let stats = station.stats();
         assert_eq!(stats.hex_runs, 1);
         assert_eq!(stats.hex_cycles, hex_cycles);
@@ -290,7 +250,7 @@ mod tests {
             BandMatrix::<i64>::new(4, 4, 1, 1).unwrap(),
             BandMatrix::<i64>::new(4, 4, 1, 0).unwrap(),
         );
-        assert!(station.run_hex(&bad).is_err());
+        assert!(station.run_hex_lanes(&[bad]).is_err());
         assert_eq!(station.stats().total_runs(), 0);
     }
 

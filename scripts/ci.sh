@@ -19,15 +19,40 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo doc --no-deps (rustdoc warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
+# Runs a filtered test command and fails when the filter selected no test,
+# so a renamed test cannot pass vacuously.
+run_selected() {
+    local out
+    out=$("$@" 2>&1) || { echo "$out"; return 1; }
+    echo "$out"
+    grep -Eq "test result: ok\. [1-9][0-9]* passed" <<<"$out" \
+        || { echo "no test matched: $*" >&2; return 1; }
+}
+
 echo "== lane-equivalence property tests, default target"
-cargo test -q --release --test properties lane_parallel
+run_selected cargo test -q --release --test properties lane_parallel
 
 echo "== lane-equivalence property tests, -C target-cpu=native"
 # The lane inner loops are written to auto-vectorize; prove bit-identity
 # holds under the host's widest SIMD codegen too.  A separate target dir
 # keeps the native rebuild from thrashing the default-target cache.
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
-    cargo test -q --release --test properties lane_parallel
+    run_selected cargo test -q --release --test properties lane_parallel
+
+echo "== farmbench: build and unit tests"
+# The end-to-end benchmark is its own cargo package; building it here
+# catches a deleted or renamed entry point it calls.  Its build output
+# goes under target/, so nothing is written inside farmbench/.
+FARMBENCH=(--offline --release --quiet --manifest-path farmbench/Cargo.toml)
+CARGO_TARGET_DIR=target/farmbench cargo build "${FARMBENCH[@]}"
+CARGO_TARGET_DIR=target/farmbench cargo test "${FARMBENCH[@]}"
+
+echo "== farmbench end to end (fails unless every receipt is bit-identical and exactly predicted)"
+# Shorter runs abort with "no round completed a block of 1024 jobs".
+CARGO_TARGET_DIR=target/farmbench cargo run "${FARMBENCH[@]}" -- \
+    --workload fresh_mixed --seconds 12 --trace 0
+CARGO_TARGET_DIR=target/farmbench cargo run "${FARMBENCH[@]}" -- \
+    --workload hot_lanes --seconds 20 --trace 0
 
 echo "== paper_experiments (measured-vs-paper agreement, incl. E10 throughput + E11 fairness + E12 lanes + E13 observability + E14 residency)"
 # The E12 gate inside also asserts every lane-parallel receipt is exactly

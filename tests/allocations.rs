@@ -99,20 +99,28 @@ fn steady_state_station_serving_allocates_nothing() {
     let mut station = ArrayStation::<f64>::new(w).unwrap();
 
     // Warm-up: the first run of each shape sizes every buffer, including
-    // the lane-strided value and staging planes.
-    let hex_outputs = station.run_hex(&hex_job).unwrap().outputs().len();
-    let mv_outputs = station.run_mv(&streams).unwrap().outputs().len();
+    // the lane-strided value and staging planes.  A solo job is a one-lane
+    // pass.
+    let solo_hex = std::slice::from_ref(&hex_job);
+    let solo_mv = std::slice::from_ref(&streams);
+    let hex_outputs = station.run_hex_lanes(solo_hex).unwrap().outputs().len();
+    let mv_outputs = station.run_mv_lanes(solo_mv).unwrap().outputs().len();
     assert!(hex_outputs > 0 && mv_outputs > 0);
     station.run_hex_lanes(&hex_lane_jobs).unwrap();
     station.run_mv_lanes(&mv_lane_jobs).unwrap();
+    // The test harness registers this test on its own thread just after
+    // starting it, and the counter is process-wide: on a loaded machine
+    // that bookkeeping can land in the first window unless the harness
+    // thread gets a CPU first.
+    std::thread::sleep(std::time::Duration::from_millis(50));
 
     // Steady state: many jobs, zero allocations — solo and lane-parallel.
     let jobs = 64;
     let before = allocation_count();
     for _ in 0..jobs {
-        let hex_scratch = station.run_hex(&hex_job).unwrap();
+        let hex_scratch = station.run_hex_lanes(solo_hex).unwrap();
         assert_eq!(hex_scratch.outputs().len(), hex_outputs);
-        let mv_scratch = station.run_mv(&streams).unwrap();
+        let mv_scratch = station.run_mv_lanes(solo_mv).unwrap();
         assert_eq!(mv_scratch.outputs().len(), mv_outputs);
     }
     for _ in 0..jobs {
@@ -235,6 +243,73 @@ fn steady_state_station_serving_allocates_nothing() {
         assert!(receipt.prediction_exact());
         let snapshot = farm.snapshot();
         assert!(snapshot.operand_hits() >= farm_jobs);
+        assert!((snapshot.exact_prediction_fraction() - 1.0).abs() < f64::EPSILON);
+        farm.shutdown();
+    }
+
+    // Coalesced serving is the same path, so it is equally allocation-free:
+    // bursts of same-shape repeat-operand MM jobs queue behind a blocker (a
+    // resident job of another shape, so it never coalesces with them) and
+    // are served as multi-job lane passes.  Every output has the same
+    // shape, so recycled matrices fit whichever job pops them.  A burst
+    // plus its blocker stays within 16 jobs, and outputs go back to the
+    // pool only once the whole burst is served, so the queue, the pools and
+    // the serve buffers all reach their final capacity during warm-up
+    // however the worker happens to split the bursts.
+    {
+        use size_independent_systolic::runtime::{JobOutput, JobTicket, OperandRef};
+        let w = 4;
+        let burst = 14;
+        let farm = ArrayFarm::new(
+            FarmConfig::new(w)
+                .hex_workers(1)
+                .linear_workers(0)
+                .lanes(16)
+                .coalesce_limit(16)
+                .band_cache(8),
+        )
+        .unwrap();
+        let a = OperandRef::named(0xA, gen::random_dense_f64(24, 24, 61));
+        let b = OperandRef::named(0xB, gen::random_dense_f64(24, 24, 62));
+        let long_a = OperandRef::named(0xC, gen::random_dense_f64(24, 192, 63));
+        let long_b = OperandRef::named(0xD, gen::random_dense_f64(192, 24, 64));
+        let mut tickets: Vec<JobTicket> = Vec::with_capacity(burst + 1);
+        let mut outputs: Vec<JobOutput> = Vec::with_capacity(burst + 1);
+        let mut serve_burst = || {
+            tickets.push(
+                farm.submit(Job::dense_mm(long_a.clone(), long_b.clone()))
+                    .unwrap(),
+            );
+            for _ in 0..burst {
+                tickets.push(farm.submit(Job::dense_mm(a.clone(), b.clone())).unwrap());
+            }
+            outputs.extend(tickets.drain(..).map(|t| t.wait().unwrap().output));
+            for output in outputs.drain(..) {
+                farm.recycle(output);
+            }
+        };
+        // Warm-up: stages all four bands and sizes the lane planes, the
+        // pools and the worker's serve buffers at full lane width.
+        for _ in 0..4 {
+            serve_burst();
+        }
+        let bursts = 4;
+        let before = allocation_count();
+        for _ in 0..bursts {
+            serve_burst();
+        }
+        let after = allocation_count();
+        let coalesced_jobs = bursts * (burst + 1);
+        assert_eq!(
+            after - before,
+            0,
+            "a warm farm serving coalesced repeat-operand MM bursts must be \
+             allocation-free end-to-end: {} allocations over {coalesced_jobs} jobs",
+            after - before
+        );
+        let snapshot = farm.snapshot();
+        let multi_job_passes: u64 = snapshot.lane_occupancy()[1..].iter().sum();
+        assert!(multi_job_passes > 0, "the bursts must run as lane passes");
         assert!((snapshot.exact_prediction_fraction() - 1.0).abs() < f64::EPSILON);
         farm.shutdown();
     }

@@ -4,9 +4,9 @@
 //! tenancy, coalesced service attribution), and the live observability
 //! layer (snapshots, trace rings, latency histograms).
 
-use size_independent_systolic::dbt::sparse;
+use size_independent_systolic::dbt::{mv_staging_cycles, sparse};
 use size_independent_systolic::prelude::*;
-use size_independent_systolic::runtime::{HistogramSnapshot, JobOutput};
+use size_independent_systolic::runtime::{HistogramSnapshot, JobOutput, OperandRef};
 use std::time::Duration;
 
 /// A large dense MV job that pins the (single) linear worker for a while,
@@ -253,6 +253,112 @@ fn coalesced_receipts_attribute_the_batch_span_by_cycle_share() {
             receipt.service, receipt.batch_service
         );
     }
+}
+
+/// Serves three named MV operands, four times each and interleaved, behind
+/// a blocker on a one-linear-worker farm.  Returns the receipts (blocker
+/// first) and the final snapshot.
+fn serve_named_mv_sequence(coalesce_limit: usize) -> (Vec<JobReceipt>, FarmSnapshot) {
+    let farm = ArrayFarm::new(
+        FarmConfig::new(4)
+            .hex_workers(0)
+            .linear_workers(1)
+            .coalesce_limit(coalesce_limit),
+    )
+    .unwrap();
+    let operands: Vec<OperandRef> = (0..3u64)
+        .map(|k| OperandRef::named(100 + k, gen::random_dense_f64(16, 16, 40 + k)))
+        .collect();
+    let jobs: Vec<Job> = (0..4u64)
+        .flat_map(|round| {
+            operands
+                .iter()
+                .map(move |a| Job::dense_mv(a.clone(), gen::random_vector_f64(16, 50 + round)))
+        })
+        .collect();
+    let blocker = farm.submit(blocker_job(41)).unwrap();
+    let tickets: Vec<_> = jobs.into_iter().map(|j| farm.submit(j).unwrap()).collect();
+    let mut receipts = vec![blocker.wait().unwrap()];
+    receipts.extend(tickets.into_iter().map(|t| t.wait().unwrap()));
+    (receipts, farm.shutdown().snapshot)
+}
+
+#[test]
+fn coalesced_mv_receipts_report_the_same_staging_as_solo_ones() {
+    let shape = MvShape { w: 4, n: 16, m: 16 };
+    for limit in [1, 8] {
+        let (receipts, snapshot) = serve_named_mv_sequence(limit);
+        let sequence = &receipts[1..];
+        // Each operand is staged exactly once, by whichever serve saw it
+        // first; its repeats hit.
+        for k in 0..3 {
+            let staged: usize = sequence
+                .iter()
+                .skip(k)
+                .step_by(3)
+                .map(|r| r.staging_cycles)
+                .sum();
+            assert_eq!(
+                staged,
+                mv_staging_cycles(shape),
+                "coalesce_limit({limit}): operand {k}"
+            );
+        }
+        let hits = sequence.iter().filter(|r| r.operand_hit).count();
+        assert_eq!(hits, 9, "coalesce_limit({limit})");
+        // The farm's counters agree with the receipts, blocker included.
+        let staged: usize = receipts.iter().map(|r| r.staging_cycles).sum();
+        assert_eq!(snapshot.staging_cycles(), staged as u64);
+        let hits = receipts.iter().filter(|r| r.operand_hit).count();
+        assert_eq!(snapshot.operand_hits(), hits as u64);
+        if limit > 1 {
+            assert!(
+                sequence.iter().any(JobReceipt::coalesced),
+                "the queued sequence must coalesce"
+            );
+        }
+    }
+}
+
+#[test]
+fn lane_occupancy_accounts_every_job_of_an_over_wide_lane_setting() {
+    // `lanes(32)` is clamped to the engine's 16-lane passes, so 32 queued
+    // mates run as two full passes and the occupancy histogram counts each.
+    let farm = ArrayFarm::new(
+        FarmConfig::new(4)
+            .hex_workers(1)
+            .linear_workers(0)
+            .lanes(32)
+            .coalesce_limit(32),
+    )
+    .unwrap();
+    let blocker = Job::dense_mm(
+        gen::random_dense_f64(48, 48, 61),
+        gen::random_dense_f64(48, 48, 62),
+    );
+    let mates: Vec<Job> = (0..32u64)
+        .map(|s| {
+            Job::dense_mm(
+                gen::random_dense_f64(8, 8, 100 + s),
+                gen::random_dense_f64(8, 8, 200 + s),
+            )
+        })
+        .collect();
+    let blocker = farm.submit(blocker).unwrap();
+    let tickets: Vec<_> = mates.into_iter().map(|j| farm.submit(j).unwrap()).collect();
+    assert!(blocker.wait().unwrap().prediction_exact());
+    for ticket in tickets {
+        assert!(ticket.wait().unwrap().prediction_exact());
+    }
+    let snapshot = farm.shutdown().snapshot;
+    let occupancy = snapshot.lane_occupancy();
+    let jobs_in_passes: u64 = occupancy
+        .iter()
+        .enumerate()
+        .map(|(slot, &passes)| (slot as u64 + 1) * passes)
+        .sum();
+    assert_eq!(jobs_in_passes, 33, "lane occupancy {occupancy:?}");
+    assert_eq!(snapshot.completed(), 33);
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! * the measured step counts equal the paper's closed forms;
 //! * the measured utilization never exceeds the paper's bound;
 //! * the tape-driven engines' outcomes (values, cycle counts, feedback
-//!   summaries) agree with the analytic predictions, and the batch APIs are
-//!   outcome-identical to sequential runs;
+//!   summaries) agree with the analytic predictions, and lane passes —
+//!   fresh, cold-cache and warm-cache — are bit-identical to solo runs;
 //! * the farm's lifecycle: under every policy, cancellation racing dispatch
 //!   resolves to exactly one of receipt/`Cancelled`, and the telemetry
 //!   books balance (completed + cancelled == submitted).
@@ -21,10 +21,7 @@
 
 use sia_matrix::rng::SplitMix64;
 use size_independent_systolic::dbt::{ext, sparse};
-use size_independent_systolic::dbt::{
-    multiply_mm_batch, multiply_mm_batch_on, multiply_mm_on, multiply_mv_batch,
-    multiply_mv_batch_on, multiply_mv_on, MmProblem, MvProblem,
-};
+use size_independent_systolic::dbt::{multiply_mm_on, multiply_mv_on, MvProblem};
 use size_independent_systolic::prelude::*;
 use size_independent_systolic::runtime::{JobOutput, JobTicket};
 use size_independent_systolic::sim::{
@@ -153,7 +150,7 @@ fn block_grid_reassembles_the_original() {
 
 // ---------------------------------------------------------------------------
 // Engine equivalence: the tape-driven engines against the paper's analytic
-// predictions and against their own batch APIs.
+// predictions.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -205,67 +202,6 @@ fn mm_engine_agrees_with_analytic_predictions_including_feedback() {
                 delays.contains(&w),
                 "delays {delays:?} should contain w={w}"
             );
-        }
-    }
-}
-
-#[test]
-fn mm_batch_is_outcome_identical_to_sequential_runs() {
-    let mut rng = SplitMix64::new(0xBA7C);
-    let w = 3;
-    let mats: Vec<(DenseMatrix<i64>, DenseMatrix<i64>)> = (0..9)
-        .map(|_| {
-            let n = rng.range_usize(1, 7);
-            let p = rng.range_usize(1, 7);
-            let m = rng.range_usize(1, 7);
-            let a = random_matrix(&mut rng, n, p);
-            let b = random_matrix(&mut rng, p, m);
-            (a, b)
-        })
-        .collect();
-    let problems: Vec<MmProblem<'_, i64>> = mats
-        .iter()
-        .map(|(a, b)| MmProblem { a, b, e: None })
-        .collect();
-    let batch = multiply_mm_batch(&problems, w).unwrap();
-    assert_eq!(batch.len(), problems.len());
-    for (p, batched) in problems.iter().zip(&batch) {
-        let solo = multiply_mm(p.a, p.b, None, w).unwrap();
-        assert_eq!(batched.c, solo.c);
-        assert_eq!(batched.cycles, solo.cycles);
-        assert_eq!(batched.efficiency, solo.efficiency);
-        assert_eq!(batched.activity, solo.activity);
-        assert_eq!(batched.feedback, solo.feedback);
-    }
-}
-
-#[test]
-fn mv_batch_is_outcome_identical_to_sequential_runs() {
-    let mut rng = SplitMix64::new(0xBA7D);
-    for schedule in [MvSchedule::Simple, MvSchedule::Overlapped] {
-        let w = 3;
-        let data: Vec<(DenseMatrix<i64>, Vec<i64>)> = (0..9)
-            .map(|_| {
-                let n = rng.range_usize(1, 13);
-                let m = rng.range_usize(1, 13);
-                let a = random_matrix(&mut rng, n, m);
-                let x = gen::random_vector_i64(m, 6, rng.next_u64());
-                (a, x)
-            })
-            .collect();
-        let problems: Vec<MvProblem<'_, i64>> = data
-            .iter()
-            .map(|(a, x)| MvProblem { a, x, b: None })
-            .collect();
-        let batch = multiply_mv_batch(&problems, w, schedule).unwrap();
-        assert_eq!(batch.len(), problems.len());
-        for (p, batched) in problems.iter().zip(&batch) {
-            let solo = multiply_mv(p.a, p.x, None, w, schedule).unwrap();
-            assert_eq!(batched.y, solo.y);
-            assert_eq!(batched.cycles, solo.cycles);
-            assert_eq!(batched.efficiency, solo.efficiency);
-            assert_eq!(batched.activity, solo.activity);
-            assert_eq!(batched.feedback, solo.feedback);
         }
     }
 }
@@ -416,54 +352,6 @@ fn shared_station_solver_runs_match_fresh_solver_runs() {
         expected_cycles,
         "structural attribution must account exactly the served cycles"
     );
-}
-
-#[test]
-fn station_batches_match_parallel_batches_and_fresh_runs() {
-    let mut rng = SplitMix64::new(0xBA7E);
-    let w = 3;
-    let mut station = ArrayStation::<i64>::new(w).unwrap();
-    let mats: Vec<(DenseMatrix<i64>, DenseMatrix<i64>)> = (0..6)
-        .map(|_| {
-            let n = rng.range_usize(1, 7);
-            let p = rng.range_usize(1, 7);
-            let m = rng.range_usize(1, 7);
-            (random_matrix(&mut rng, n, p), random_matrix(&mut rng, p, m))
-        })
-        .collect();
-    let problems: Vec<MmProblem<'_, i64>> = mats
-        .iter()
-        .map(|(a, b)| MmProblem { a, b, e: None })
-        .collect();
-    let on_station = multiply_mm_batch_on(&mut station, &problems).unwrap();
-    let parallel = multiply_mm_batch(&problems, w).unwrap();
-    for ((p, serial), par) in problems.iter().zip(&on_station).zip(&parallel) {
-        let fresh = multiply_mm(p.a, p.b, None, w).unwrap();
-        assert_eq!(serial.c, fresh.c);
-        assert_eq!(serial.cycles, fresh.cycles);
-        assert_eq!(par.c, fresh.c);
-        assert_eq!(par.cycles, fresh.cycles);
-    }
-
-    let data: Vec<(DenseMatrix<i64>, Vec<i64>)> = (0..6)
-        .map(|_| {
-            let n = rng.range_usize(1, 9);
-            let m = rng.range_usize(1, 9);
-            let a = random_matrix(&mut rng, n, m);
-            let x = gen::random_vector_i64(m, 6, rng.next_u64());
-            (a, x)
-        })
-        .collect();
-    let problems: Vec<MvProblem<'_, i64>> = data
-        .iter()
-        .map(|(a, x)| MvProblem { a, x, b: None })
-        .collect();
-    let on_station = multiply_mv_batch_on(&mut station, &problems, MvSchedule::Simple).unwrap();
-    for (p, serial) in problems.iter().zip(&on_station) {
-        let fresh = multiply_mv(p.a, p.x, None, w, MvSchedule::Simple).unwrap();
-        assert_eq!(serial.y, fresh.y);
-        assert_eq!(serial.cycles, fresh.cycles);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -685,73 +573,10 @@ fn cancellation_races_resolve_to_exactly_one_outcome() {
 }
 
 #[test]
-fn raw_simulator_batches_match_single_runs_on_random_band_jobs() {
-    let mut rng = SplitMix64::new(0x5117);
-    // Hexagonal: random upper x lower band products.
-    let w = 3;
-    let hex = HexArray::new(w).unwrap();
-    let jobs: Vec<HexJob<i64>> = (0..8)
-        .map(|_| {
-            let n = rng.range_usize(2, 9);
-            let full_a = random_matrix(&mut rng, n, n);
-            let da = DenseMatrix::from_fn(n, n, |i, j| {
-                if j >= i && j < i + w {
-                    full_a.at(i, j)
-                } else {
-                    0
-                }
-            });
-            let full_b = random_matrix(&mut rng, n, n);
-            let db = DenseMatrix::from_fn(n, n, |i, j| {
-                if i >= j && i < j + w {
-                    full_b.at(i, j)
-                } else {
-                    0
-                }
-            });
-            HexJob::product(
-                BandMatrix::try_from_dense(&da, 0, w - 1).unwrap(),
-                BandMatrix::try_from_dense(&db, w - 1, 0).unwrap(),
-            )
-        })
-        .collect();
-    for (job, batched) in jobs.iter().zip(hex.run_batch(&jobs).unwrap()) {
-        let solo = hex.run(job).unwrap();
-        assert_eq!(batched.outputs, solo.outputs);
-        assert_eq!(batched.utilization, solo.utilization);
-    }
-
-    // Linear: random upper-band streams.
-    let array = LinearArray::new(w).unwrap();
-    let jobs: Vec<Vec<MvStream<i64>>> = (0..8)
-        .map(|_| {
-            let rows = rng.range_usize(1, 9);
-            let cols = rows + w - 1;
-            let full = random_matrix(&mut rng, rows, cols);
-            let dense = DenseMatrix::from_fn(rows, cols, |i, j| {
-                if j >= i && j < i + w {
-                    full.at(i, j)
-                } else {
-                    0
-                }
-            });
-            vec![MvStream {
-                band: BandMatrix::try_from_dense(&dense, 0, w - 1).unwrap().into(),
-                x: gen::random_vector_i64(cols, 5, rng.next_u64()),
-                y_injections: vec![YInjection::Value(0); rows],
-            }]
-        })
-        .collect();
-    for (job, batched) in jobs.iter().zip(array.run_batch(&jobs).unwrap()) {
-        let solo = array.run(job).unwrap();
-        assert_eq!(batched.outputs, solo.outputs);
-        assert_eq!(batched.utilization, solo.utilization);
-    }
-}
-
-#[test]
 fn mm_lane_parallel_batches_are_bit_identical_to_solo_runs() {
-    use size_independent_systolic::dbt::multiply_mm_lanes_on;
+    use size_independent_systolic::dbt::{
+        multiply_mm_resident_lanes_on, BandCache, MmResidentProblem, OperandRef,
+    };
     let mut rng = SplitMix64::new(0x1A9E5);
     // Lane counts below, at, and between the powers the serving runtime
     // uses, plus ragged batches that do not divide the maximum pass width.
@@ -761,40 +586,68 @@ fn mm_lane_parallel_batches_are_bit_identical_to_solo_runs() {
         let p = rng.range_usize(1, 7);
         let m = rng.range_usize(1, 7);
         let with_e = batch % 2 == 0;
-        type MmCase = (DenseMatrix<i64>, DenseMatrix<i64>, Option<DenseMatrix<i64>>);
-        let mats: Vec<MmCase> = (0..batch)
-            .map(|_| {
-                let a = random_matrix(&mut rng, n, p);
-                let b = random_matrix(&mut rng, p, m);
+        type MmCase = (OperandRef<i64>, OperandRef<i64>, Option<DenseMatrix<i64>>);
+        let mats: Vec<MmCase> = (0..batch as u64)
+            .map(|i| {
+                let a = OperandRef::named(2 * i, random_matrix(&mut rng, n, p));
+                let b = OperandRef::named(2 * i + 1, random_matrix(&mut rng, p, m));
                 let e = with_e.then(|| random_matrix(&mut rng, n, m));
                 (a, b, e)
             })
             .collect();
-        let problems: Vec<MmProblem<'_, i64>> = mats
+        let problems: Vec<MmResidentProblem<'_, i64>> = mats
             .iter()
-            .map(|(a, b, e)| MmProblem {
+            .map(|(a, b, e)| MmResidentProblem {
                 a,
                 b,
                 e: e.as_ref(),
             })
             .collect();
         let mut station = ArrayStation::new(w).unwrap();
-        let lanes = multiply_mm_lanes_on(&mut station, &problems).unwrap();
-        assert_eq!(lanes.len(), batch);
-        for (p, laned) in problems.iter().zip(&lanes) {
-            let solo = multiply_mm(p.a, p.b, p.e, w).unwrap();
-            assert_eq!(laned.c, solo.c, "batch of {batch} on w={w}");
-            assert_eq!(laned.cycles, solo.cycles);
-            assert_eq!(laned.efficiency, solo.efficiency);
-            assert_eq!(laned.activity, solo.activity);
-            assert_eq!(laned.feedback, solo.feedback);
+        // A capacity-0 cache transforms every lane fresh; a cache holding
+        // every band stages on its cold pass and only hits on its warm one.
+        let mut fresh = BandCache::new(w, 0);
+        let mut resident = BandCache::new(w, 2 * batch);
+        let arms = [
+            (
+                "fresh",
+                multiply_mm_resident_lanes_on(&mut station, &mut fresh, &problems),
+            ),
+            (
+                "cold",
+                multiply_mm_resident_lanes_on(&mut station, &mut resident, &problems),
+            ),
+            (
+                "warm",
+                multiply_mm_resident_lanes_on(&mut station, &mut resident, &problems),
+            ),
+        ];
+        for (arm, run) in arms {
+            let (lanes, reports) = run.unwrap();
+            assert_eq!(lanes.len(), batch);
+            for (p, laned) in problems.iter().zip(&lanes) {
+                let solo = multiply_mm(p.a, p.b, p.e, w).unwrap();
+                assert_eq!(laned.c, solo.c, "{arm}: batch of {batch} on w={w}");
+                assert_eq!(laned.cycles, solo.cycles);
+                assert_eq!(laned.efficiency, solo.efficiency);
+                assert_eq!(laned.activity, solo.activity);
+                assert_eq!(laned.feedback, solo.feedback);
+            }
+            assert_eq!(
+                reports.iter().all(|r| r.operand_hit()),
+                arm == "warm",
+                "{arm}: batch of {batch}"
+            );
         }
     }
 }
 
 #[test]
 fn mv_lane_parallel_batches_are_bit_identical_to_solo_runs() {
-    use size_independent_systolic::dbt::multiply_mv_lanes_on;
+    use size_independent_systolic::dbt::{
+        multiply_mv_lanes_on, multiply_mv_resident_lanes_on, BandCache, MvResidentProblem,
+        OperandRef,
+    };
     let mut rng = SplitMix64::new(0x1A9E6);
     for &batch in &[1usize, 2, 3, 4, 8, 19] {
         for schedule in [MvSchedule::Simple, MvSchedule::Overlapped] {
@@ -802,10 +655,10 @@ fn mv_lane_parallel_batches_are_bit_identical_to_solo_runs() {
             let n = rng.range_usize(1, 8);
             let m = rng.range_usize(1, 8);
             let with_b = batch % 2 == 1;
-            type MvCase = (DenseMatrix<i64>, Vec<i64>, Option<Vec<i64>>);
-            let probs: Vec<MvCase> = (0..batch)
-                .map(|_| {
-                    let a = random_matrix(&mut rng, n, m);
+            type MvCase = (OperandRef<i64>, Vec<i64>, Option<Vec<i64>>);
+            let probs: Vec<MvCase> = (0..batch as u64)
+                .map(|i| {
+                    let a = OperandRef::named(i, random_matrix(&mut rng, n, m));
                     let x: Vec<i64> = (0..m).map(|_| rng.range_usize(0, 9) as i64 - 4).collect();
                     let b =
                         with_b.then(|| (0..n).map(|_| rng.range_usize(0, 9) as i64 - 4).collect());
@@ -820,16 +673,47 @@ fn mv_lane_parallel_batches_are_bit_identical_to_solo_runs() {
                     b: b.as_deref(),
                 })
                 .collect();
+            let resident_problems: Vec<MvResidentProblem<'_, i64>> = probs
+                .iter()
+                .map(|(a, x, b)| MvResidentProblem {
+                    a,
+                    x,
+                    b: b.as_deref(),
+                })
+                .collect();
             let mut station = ArrayStation::new(w).unwrap();
-            let lanes = multiply_mv_lanes_on(&mut station, &problems, schedule).unwrap();
-            assert_eq!(lanes.len(), batch);
-            for (p, laned) in problems.iter().zip(&lanes) {
-                let solo = multiply_mv(p.a, p.x, p.b, w, schedule).unwrap();
-                assert_eq!(laned.y, solo.y, "batch of {batch} on w={w} {schedule:?}");
-                assert_eq!(laned.cycles, solo.cycles);
-                assert_eq!(laned.efficiency, solo.efficiency);
-                assert_eq!(laned.activity, solo.activity);
-                assert_eq!(laned.feedback, solo.feedback);
+            // Fresh lanes, then a cache holding every band: its cold pass
+            // stages, its warm pass only hits.
+            let mut cache = BandCache::new(w, batch);
+            let fresh = multiply_mv_lanes_on(&mut station, &problems, schedule).unwrap();
+            let (cold, _) = multiply_mv_resident_lanes_on(
+                &mut station,
+                &mut cache,
+                &resident_problems,
+                schedule,
+            )
+            .unwrap();
+            let (warm, reports) = multiply_mv_resident_lanes_on(
+                &mut station,
+                &mut cache,
+                &resident_problems,
+                schedule,
+            )
+            .unwrap();
+            assert!(reports.iter().all(|r| r.operand_hit()));
+            for (arm, lanes) in [("fresh", fresh), ("cold", cold), ("warm", warm)] {
+                assert_eq!(lanes.len(), batch);
+                for (p, laned) in problems.iter().zip(&lanes) {
+                    let solo = multiply_mv(p.a, p.x, p.b, w, schedule).unwrap();
+                    assert_eq!(
+                        laned.y, solo.y,
+                        "{arm}: batch of {batch} on w={w} {schedule:?}"
+                    );
+                    assert_eq!(laned.cycles, solo.cycles);
+                    assert_eq!(laned.efficiency, solo.efficiency);
+                    assert_eq!(laned.activity, solo.activity);
+                    assert_eq!(laned.feedback, solo.feedback);
+                }
             }
         }
     }
