@@ -3,7 +3,7 @@
 //! The build environment of this repository cannot reach crates.io, so the
 //! benches in `benches/` cannot link criterion.  This module provides the
 //! subset the suite needs — named groups, warm-up, multi-sample timing with
-//! median/mean reporting — behind a criterion-flavoured API:
+//! min/median/max/mean statistics — behind a criterion-flavoured API:
 //!
 //! ```
 //! use sia_bench::harness::BenchGroup;
@@ -15,8 +15,9 @@
 //!
 //! Each sample runs the closure enough times to take ≥ ~2 ms (calibrated
 //! during warm-up), then per-iteration times are derived; the printed line
-//! mirrors criterion's `group/label  time: [...]` format so existing tooling
-//! that greps bench output keeps working.
+//! mirrors criterion's `group/label  time: [low mid high]` format — here
+//! `[min median max]`, always in ascending order — so existing tooling that
+//! greps bench output keeps working.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -28,7 +29,10 @@ pub struct BenchStats {
     pub min_ns: f64,
     /// Median sample.
     pub median_ns: f64,
-    /// Mean over all samples.
+    /// Slowest sample.
+    pub max_ns: f64,
+    /// Mean over all samples (not printed: it can fall below the median,
+    /// so it cannot fill the ordered `[low mid high]` slot).
     pub mean_ns: f64,
     /// Iterations per sample.
     pub iters_per_sample: u64,
@@ -37,6 +41,36 @@ pub struct BenchStats {
 }
 
 impl BenchStats {
+    /// Summarizes per-iteration sample times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples_ns` is empty or holds a NaN.
+    fn from_samples(mut samples_ns: Vec<f64>, iters_per_sample: u64) -> Self {
+        samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+        let n = samples_ns.len();
+        BenchStats {
+            min_ns: samples_ns[0],
+            median_ns: samples_ns[n / 2],
+            max_ns: samples_ns[n - 1],
+            mean_ns: samples_ns.iter().sum::<f64>() / n as f64,
+            iters_per_sample,
+            samples: n,
+        }
+    }
+
+    /// The printed summary line: `group/label  time: [min median max]`.
+    fn summary_line(&self, group: &str, label: &str) -> String {
+        format!(
+            "{group}/{label:<32} time: [{} {} {}]  ({} samples x {} iters)",
+            format_ns(self.min_ns),
+            format_ns(self.median_ns),
+            format_ns(self.max_ns),
+            self.samples,
+            self.iters_per_sample,
+        )
+    }
+
     /// Median time in milliseconds.
     pub fn median_ms(&self) -> f64 {
         self.median_ns / 1e6
@@ -93,24 +127,8 @@ impl BenchGroup {
             }
             samples_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
         }
-        samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-        let stats = BenchStats {
-            min_ns: samples_ns[0],
-            median_ns: samples_ns[samples_ns.len() / 2],
-            mean_ns: samples_ns.iter().sum::<f64>() / samples_ns.len() as f64,
-            iters_per_sample: iters,
-            samples: samples_ns.len(),
-        };
-        println!(
-            "{}/{:<32} time: [{} {} {}]  ({} samples x {} iters)",
-            self.name,
-            label,
-            format_ns(stats.min_ns),
-            format_ns(stats.median_ns),
-            format_ns(stats.mean_ns),
-            stats.samples,
-            stats.iters_per_sample,
-        );
+        let stats = BenchStats::from_samples(samples_ns, iters);
+        println!("{}", stats.summary_line(&self.name, label));
         stats
     }
 }
@@ -138,7 +156,27 @@ mod tests {
         let stats = group.bench("noop_sum", || (0..64u64).sum::<u64>());
         assert!(stats.min_ns > 0.0);
         assert!(stats.min_ns <= stats.median_ns);
+        assert!(stats.median_ns <= stats.max_ns);
         assert!(stats.iters_per_sample >= 1);
+    }
+
+    #[test]
+    fn printed_triple_is_min_median_max_in_order() {
+        // Fast samples drag the mean (7.6 ns) under the median (10 ns), so
+        // the triple must print the max, not the mean, in its high slot.
+        let stats = BenchStats::from_samples(vec![10.0, 1.0, 10.0, 7.0, 10.0], 3);
+        assert!(stats.mean_ns < stats.median_ns);
+        let line = stats.summary_line("group", "case");
+        let triple = &line[line.find('[').unwrap() + 1..line.find(']').unwrap()];
+        let values: Vec<f64> = triple
+            .split(" ns")
+            .map(str::trim)
+            .filter(|v| !v.is_empty())
+            .map(|v| v.parse().unwrap())
+            .collect();
+        assert_eq!(values, [1.0, 10.0, 10.0]);
+        assert!(values.windows(2).all(|p| p[0] <= p[1]));
+        assert!(line.ends_with("(5 samples x 3 iters)"));
     }
 
     #[test]

@@ -66,9 +66,9 @@ impl<T> MmOutcome<T> {
 /// `w·p̄·n̄·m̄ + w − 1`) from the dense `A`.
 ///
 /// The band juxtaposes `m̄` identical copies of the DBT-by-rows pattern, so
-/// only the first copy is written element by element; the remaining copies
-/// are single row-block `memmove`s into the preallocated band storage
-/// ([`BandMatrix::copy_row_block`]).
+/// only the first copy is read out of `A` (in place, zero-padded); the
+/// remaining copies are single row-block `memmove`s into the preallocated
+/// band storage ([`BandMatrix::copy_row_block`]), its only allocation.
 ///
 /// Exposed for the structural tests and the experiment harness; most users
 /// call [`multiply_mm`] instead.
@@ -112,43 +112,40 @@ pub fn build_a_hat_with<T: Scalar>(
     let g = mbar * per_copy;
     let n_dim = g * w + w - 1;
     let mut band = BandMatrix::with_storage(n_dim, n_dim, 0, w - 1, storage)?;
-    // Reference copy (block rows 0..per_copy), element by element.  The
-    // off-diagonal L part of block row q lands in columns (q+1)w + y with
-    // y < x <= w-1, which stays inside the matrix even for q = g - 1, so no
-    // bounds branch is needed.
-    for q in 0..per_copy {
-        let r = q / pbar;
-        let u = q % pbar;
-        let u_block = grid.block(a, r, u)?;
-        let l_block = grid.block(a, r, (u + 1) % pbar)?;
-        for x in 0..w {
-            for y in 0..w {
-                if y >= x {
-                    band.set(q * w + x, q * w + y, u_block.at(x, y))?;
-                } else {
-                    band.set(q * w + x, (q + 1) * w + y, l_block.at(x, y))?;
-                }
-            }
+    // Row x of block row q (r = q / p̄ within its copy, u = q mod p̄): slot
+    // o holds column qw + x + o, i.e. U = A_{r,u} at y = x + o < w, then
+    // the strictly-lower L = A_{r,(u+1) mod p̄} at y = x + o − w.
+    let mut fill_row = |row: usize| {
+        let (q, x) = (row / w, row % w);
+        let (ar, u) = ((q % per_copy) / pbar * w + x, q % pbar);
+        let l = (u + 1) % pbar;
+        let len = w.min(n_dim - row);
+        for (o, slot) in band.row_slice_mut(row)[..len].iter_mut().enumerate() {
+            let y = x + o;
+            *slot = if y < w {
+                a.at_padded(ar, u * w + y)
+            } else {
+                a.at_padded(ar, l * w + y - w)
+            };
         }
-    }
+    };
+    // The reference copy, then the closing block U' (the leading corner of
+    // U_{0,0}: the same formula at q = g, cut short by the matrix edge).
+    let copy_rows = per_copy * w;
+    (0..copy_rows).chain(g * w..n_dim).for_each(&mut fill_row);
     // Copies 1..m̄: identical content relative to their own rows (the stored
     // slots are diagonal-offset addressed), so each is one row-block copy.
-    let copy_rows = per_copy * w;
     for c in 1..mbar {
         band.copy_row_block(0, c * copy_rows, copy_rows);
-    }
-    // Closing block U': the leading (w-1) x (w-1) corner of U_{0,0}.
-    let corner = grid.block(a, 0, 0)?;
-    for x in 0..w - 1 {
-        for y in x..w - 1 {
-            band.set(g * w + x, g * w + y, corner.at(x, y))?;
-        }
     }
     Ok(band)
 }
 
 /// Builds the transformed operand `B̂` (lower band, dimension
 /// `w·p̄·n̄·m̄ + w − 1`) from the dense `B`.
+///
+/// Like [`build_a_hat`], it reads `B` in place and `memmove`s repeated
+/// copies; the band's storage is its only allocation.
 ///
 /// # Errors
 ///
@@ -186,40 +183,43 @@ pub fn build_b_hat_with<T: Scalar>(
     let g = mbar * per_copy;
     let n_dim = g * w + w - 1;
     let mut band = BandMatrix::with_storage(n_dim, n_dim, w - 1, 0, storage)?;
-    // Block row q needs the (D, E) triangular pair of block column i = q /
-    // per_copy, block row u = q mod p̄ of B.  The pair repeats n̄ times per
-    // column copy, so it is extracted once per (u, i) and reused instead of
-    // being re-extracted (and re-allocated) on every one of the g block
-    // rows.
-    for i in 0..mbar {
-        let pairs: Vec<(DenseMatrix<T>, DenseMatrix<T>)> = (0..pbar)
-            .map(|u| Ok((grid.block(b, u, i)?, grid.block(b, (u + 1) % pbar, i)?)))
-            .collect::<Result<_, DbtError>>()?;
-        for q in i * per_copy..(i + 1) * per_copy {
-            let (d_block, e_block) = &pairs[q % pbar];
-            for x in 0..w {
-                for y in 0..w {
-                    if y <= x {
-                        // lower-with-diagonal part of B_{u,i}
-                        band.set(q * w + x, q * w + y, d_block.at(x, y))?;
-                    } else {
-                        // strictly-upper part of B_{(u+1) mod p̄, i}
-                        let row = (q + 1) * w + x;
-                        if row < n_dim {
-                            band.set(row, q * w + y, e_block.at(x, y))?;
-                        }
-                    }
-                }
+    // Block row q holds D = B_{u,i} (u = q mod p̄, i = q / per_copy) on and
+    // below its diagonal, and one block row down E, the strictly-upper part
+    // of B_{(u+1) mod p̄, i}.  So row x of block row q reads row uw + x of
+    // B: slot o < w − 1 − x is E of block row q − 1 (y = x + o + 1, block
+    // column (q − 1) / per_copy), the rest is D (y = o − (w − 1 − x)).  The
+    // closing block L' is the same formula at q = g (block column 0).
+    let fill_row = |band: &mut BandMatrix<T>, row: usize| {
+        let (q, x) = (row / w, row % w);
+        let br = (q % pbar) * w + x;
+        let d_col = (q / per_copy) % mbar * w;
+        let split = w - 1 - x;
+        let slots = band.row_slice_mut(row);
+        if q > 0 {
+            let e_col = (q - 1) / per_copy * w + x + 1;
+            for (o, slot) in slots[..split].iter_mut().enumerate() {
+                *slot = b.at_padded(br, e_col + o);
             }
         }
-    }
-    // Closing block L': the leading (w-1) x (w-1) corner of the
-    // lower-with-diagonal part of B_{0,0}.
-    let corner = grid.block(b, 0, 0)?;
-    for x in 0..w - 1 {
-        for y in 0..=x {
-            band.set(g * w + x, g * w + y, corner.at(x, y))?;
+        for (y, slot) in slots[split..].iter_mut().enumerate() {
+            *slot = b.at_padded(br, d_col + y);
         }
+    };
+    // Within block column i the p̄-block-row pattern repeats n̄ times, and
+    // only the first copy's E comes from the previous block column: copies
+    // 0 and 1 are read out of B, copies 2.. are row-block copies of 1.
+    let copy_rows = pbar * w;
+    for i in 0..mbar {
+        let base = i * per_copy * w;
+        for row in base..base + nbar.min(2) * copy_rows {
+            fill_row(&mut band, row);
+        }
+        for c in 2..nbar {
+            band.copy_row_block(base + copy_rows, base + c * copy_rows, copy_rows);
+        }
+    }
+    for row in g * w..n_dim {
+        fill_row(&mut band, row);
     }
     Ok(band)
 }

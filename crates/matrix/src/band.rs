@@ -337,6 +337,14 @@ impl<T: Scalar> BandMatrix<T> {
         &self.data[i * width..(i + 1) * width]
     }
 
+    /// The whole row-major storage: `(i, j)` lives at slot
+    /// `i * bandwidth + (j + lower − i)` (see [`BandMatrix::row_slice`]),
+    /// the same slot in every band of one [`BandShape`].
+    #[inline]
+    pub fn storage(&self) -> &[T] {
+        &self.data
+    }
+
     /// Mutable borrow of the stored slots of row `i` (see
     /// [`BandMatrix::row_slice`] for the slot layout).
     ///

@@ -99,6 +99,11 @@ impl<E: Copy> Tape<E> {
         &self.entries[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
 
+    /// Number of entries over all cycles of the sealed layout.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
     /// The first cycle `>= t` that injects anything, or `None` when the rest
     /// of the tape is silent.  Used by the engines' event-driven cycle
     /// skipping to fast-forward across idle stretches.

@@ -72,6 +72,22 @@ for key in e10_policies e11_fairness e12_lanes e13_observability e14_residency; 
         || { echo "BENCH_throughput.json is missing the $key array" >&2; exit 1; }
 done
 
+echo "== allocs-per-job gate for fresh-operand lane passes (E12 rows must stay below 32)"
+# E12 stages fresh operands on every job, so its allocs_per_job counts MM
+# band staging: the two bands plus the farm's per-job payloads (about 9).
+# Copying operand blocks during staging pushes it far past 32.  A count, so
+# it cannot flake.
+awk '/"e12_lanes": \[/ { rows = 0; in_e12 = 1; next }
+     in_e12 && /^\]/ { exit }
+     in_e12 {
+         rows++
+         if (!match($0, /"allocs_per_job": [0-9.]+/)) { bad = 1; next }
+         allocs = substr($0, RSTART + 18, RLENGTH - 18) + 0
+         if (allocs >= 32) { print "e12_lanes row allocates " allocs " per job: " $0 > "/dev/stderr"; bad = 1 }
+     }
+     END { exit (rows == 0 || bad) }' BENCH_throughput.json \
+    || { echo "fresh-operand lane passes allocate too much (e12_lanes allocs_per_job >= 32)" >&2; exit 1; }
+
 echo "== allocs-per-job regression gate (warm repeat-operand serving must stay allocation-free)"
 # Each e14_residency record renders on one line; the warm arm's
 # allocs_per_job is measured over a repeat-operand dense-MM window with

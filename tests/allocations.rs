@@ -96,17 +96,38 @@ fn steady_state_station_serving_allocates_nothing() {
         })
         .collect();
 
+    // A second hex structure — other band shapes, its own feedback
+    // schedule — alternates with the first inside the timed windows, so
+    // every hex pass there rebuilds its tapes in place.
+    let (ya, yb) = band_pair(20, w, 41);
+    let mut other_job = HexJob::product(ya, yb);
+    std::sync::Arc::make_mut(&mut other_job.c_injections).push((
+        (9, 9),
+        size_independent_systolic::sim::CInjection::Feedback { producer: (2, 2) },
+    ));
+    let other_lane_jobs: Vec<HexJob<f64>> = (0..lanes as u64)
+        .map(|l| {
+            let (ba, bb) = band_pair(20, w, 51 + l);
+            let mut mate = HexJob::product(ba, bb);
+            mate.c_injections = other_job.c_injections.clone();
+            mate
+        })
+        .collect();
+
     let mut station = ArrayStation::<f64>::new(w).unwrap();
 
     // Warm-up: the first run of each shape sizes every buffer, including
-    // the lane-strided value and staging planes.  A solo job is a one-lane
-    // pass.
+    // the tapes and the lane-strided value planes.  A solo job is a
+    // one-lane pass.
     let solo_hex = std::slice::from_ref(&hex_job);
+    let solo_other = std::slice::from_ref(&other_job);
     let solo_mv = std::slice::from_ref(&streams);
     let hex_outputs = station.run_hex_lanes(solo_hex).unwrap().outputs().len();
+    let other_outputs = station.run_hex_lanes(solo_other).unwrap().outputs().len();
     let mv_outputs = station.run_mv_lanes(solo_mv).unwrap().outputs().len();
-    assert!(hex_outputs > 0 && mv_outputs > 0);
+    assert!(hex_outputs > 0 && other_outputs > 0 && mv_outputs > 0);
     station.run_hex_lanes(&hex_lane_jobs).unwrap();
+    station.run_hex_lanes(&other_lane_jobs).unwrap();
     station.run_mv_lanes(&mv_lane_jobs).unwrap();
     // The test harness registers this test on its own thread just after
     // starting it, and the counter is process-wide: on a loaded machine
@@ -114,12 +135,15 @@ fn steady_state_station_serving_allocates_nothing() {
     // thread gets a CPU first.
     std::thread::sleep(std::time::Duration::from_millis(50));
 
-    // Steady state: many jobs, zero allocations — solo and lane-parallel.
+    // Steady state: many jobs, zero allocations — solo and lane-parallel,
+    // with the hex structure switching on every pass.
     let jobs = 64;
     let before = allocation_count();
     for _ in 0..jobs {
         let hex_scratch = station.run_hex_lanes(solo_hex).unwrap();
         assert_eq!(hex_scratch.outputs().len(), hex_outputs);
+        let other_scratch = station.run_hex_lanes(solo_other).unwrap();
+        assert_eq!(other_scratch.outputs().len(), other_outputs);
         let mv_scratch = station.run_mv_lanes(solo_mv).unwrap();
         assert_eq!(mv_scratch.outputs().len(), mv_outputs);
     }
@@ -127,6 +151,9 @@ fn steady_state_station_serving_allocates_nothing() {
         let hex_scratch = station.run_hex_lanes(&hex_lane_jobs).unwrap();
         assert_eq!(hex_scratch.lanes(), lanes);
         assert_eq!(hex_scratch.outputs().len(), hex_outputs);
+        let other_scratch = station.run_hex_lanes(&other_lane_jobs).unwrap();
+        assert_eq!(other_scratch.lanes(), lanes);
+        assert_eq!(other_scratch.outputs().len(), other_outputs);
         let mv_scratch = station.run_mv_lanes(&mv_lane_jobs).unwrap();
         assert_eq!(mv_scratch.lanes(), lanes);
         assert_eq!(mv_scratch.outputs().len(), mv_outputs);
@@ -136,9 +163,31 @@ fn steady_state_station_serving_allocates_nothing() {
         after - before,
         0,
         "farm steady state must be allocation-free: {} allocations over {jobs} \
-         solo and {jobs} lane-parallel hex+mv passes",
+         solo and {jobs} lane-parallel passes of each of two hex structures and one mv",
         after - before
     );
+
+    // MM band staging allocates the two bands and nothing else: the
+    // builders read A and B in place rather than copying out w x w blocks.
+    // (Same `#[test]`: the process-wide counter must not race a concurrent
+    // test.)
+    {
+        use size_independent_systolic::dbt::{build_a_hat, build_b_hat};
+        let (n, w) = (64, 4);
+        let a = gen::random_dense_f64(n, n, 71);
+        let b = gen::random_dense_f64(n, n, 72);
+        let before = allocation_count();
+        let a_hat = build_a_hat(&a, n / w, w).unwrap();
+        let b_hat = build_b_hat(&b, n / w, w).unwrap();
+        let staged = allocation_count() - before;
+        assert!(
+            staged <= 2,
+            "staging the bands of a 64^3 MM job on w = 4 must allocate only \
+             the two bands: {staged} allocations"
+        );
+        assert_eq!(a_hat.rows(), w * (n / w).pow(3) + w - 1);
+        assert_eq!(b_hat.rows(), a_hat.rows());
+    }
 
     // The observability layer must be equally allocation-free in steady
     // state: event rings and log-bucketed histograms preallocate

@@ -643,6 +643,88 @@ fn mm_lane_parallel_batches_are_bit_identical_to_solo_runs() {
 }
 
 #[test]
+fn mm_lane_parallel_tape_reuse_follows_every_structure_switch() {
+    tape_reuse_sequence::<i64>(|n, m, seed| gen::random_dense_i64(n, m, 9, seed));
+    tape_reuse_sequence::<f64>(gen::random_dense_f64);
+}
+
+/// One station serves, at 1 and 3 lanes: shape X, a shape Y whose bands
+/// have X's shapes but whose accumulation plan differs, a shape Z with
+/// other band shapes, X twice, X with an additive term (each problem then
+/// carries its own, structurally equal schedule `Arc`), X again, and X as
+/// fresh solves (a new schedule `Arc` per call).  The engine's tapes are
+/// therefore rebuilt, reused by pointer and reused by structure; every lane
+/// must match a solo solve on a new station.
+fn tape_reuse_sequence<T: Scalar>(random: impl Fn(usize, usize, u64) -> DenseMatrix<T>) {
+    use size_independent_systolic::dbt::{
+        build_a_hat, build_b_hat, multiply_mm_resident_lanes_on, BandCache, MmOutcome,
+        MmResidentProblem, OperandRef,
+    };
+    let w = 3;
+    let (x, y, z) = ((6, 3, 3), (3, 3, 6), (5, 7, 4));
+    let band_shapes = |(n, p, m): (usize, usize, usize)| {
+        let a_hat = build_a_hat(&random(n, p, 1), m.div_ceil(w), w).unwrap();
+        let b_hat = build_b_hat(&random(p, m, 2), n.div_ceil(w), w).unwrap();
+        (a_hat.band_shape(), b_hat.band_shape())
+    };
+    assert_eq!(band_shapes(x), band_shapes(y));
+    assert_ne!(band_shapes(x), band_shapes(z));
+    let mut station = ArrayStation::<T>::new(w).unwrap();
+    let mut cache = BandCache::new(w, 0);
+    let mut seed = 0u64;
+    for lanes in [1usize, 3] {
+        let steps = [
+            (x, false, false),
+            (y, false, false),
+            (z, false, false),
+            (x, false, false),
+            (x, false, false),
+            (x, true, false),
+            (x, false, false),
+            (x, true, true),
+        ];
+        for (step, ((n, p, m), with_e, fresh)) in steps.into_iter().enumerate() {
+            type Case<T> = (OperandRef<T>, OperandRef<T>, Option<DenseMatrix<T>>);
+            let ops: Vec<Case<T>> = (0..lanes)
+                .map(|_| {
+                    seed += 3;
+                    let a = OperandRef::named(seed, random(n, p, seed));
+                    let b = OperandRef::named(seed + 1, random(p, m, seed + 1));
+                    (a, b, with_e.then(|| random(n, m, seed + 2)))
+                })
+                .collect();
+            let problems: Vec<MmResidentProblem<'_, T>> = ops
+                .iter()
+                .map(|(a, b, e)| MmResidentProblem {
+                    a,
+                    b,
+                    e: e.as_ref(),
+                })
+                .collect();
+            let outcomes: Vec<MmOutcome<T>> = if fresh {
+                problems
+                    .iter()
+                    .map(|p| multiply_mm_on(&mut station, p.a, p.b, p.e).unwrap())
+                    .collect()
+            } else {
+                multiply_mm_resident_lanes_on(&mut station, &mut cache, &problems)
+                    .unwrap()
+                    .0
+            };
+            for (lane, (p, laned)) in problems.iter().zip(&outcomes).enumerate() {
+                let solo = multiply_mm(p.a, p.b, p.e, w).unwrap();
+                let at = format!("step {step}, lane {lane} of {lanes}");
+                assert_eq!(laned.c, solo.c, "{at}");
+                assert_eq!(laned.cycles, solo.cycles, "{at}");
+                assert_eq!(laned.efficiency, solo.efficiency, "{at}");
+                assert_eq!(laned.activity, solo.activity, "{at}");
+                assert_eq!(laned.feedback, solo.feedback, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
 fn mv_lane_parallel_batches_are_bit_identical_to_solo_runs() {
     use size_independent_systolic::dbt::{
         multiply_mv_lanes_on, multiply_mv_resident_lanes_on, BandCache, MvResidentProblem,
