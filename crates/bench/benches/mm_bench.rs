@@ -8,10 +8,11 @@
 
 use sia_bench::harness::BenchGroup;
 use sia_dbt::{
-    accumulation_plan, build_a_hat, multiply_mm, multiply_mm_on, multiply_mm_resident_lanes_on,
-    BandCache, MmResidentProblem, MmShape, OperandRef,
+    accumulation_plan, build_a_hat, multiply_mm, multiply_mm_on, multiply_mm_resident_into,
+    multiply_mm_resident_lanes_on, BandCache, MmResidentProblem, MmShape, OperandRef,
+    StagingReport,
 };
-use sia_matrix::gen;
+use sia_matrix::{gen, DenseMatrix};
 use sia_sim::ArrayStation;
 
 /// The main sweep measures the **steady-state serving path** — the solver
@@ -113,9 +114,48 @@ fn bench_batch() {
     });
 }
 
+/// The engine shape of farmbench's `hot_lanes` workload (w = 4, 64³),
+/// served warm: every band is resident in a cache of capacity > 0, and
+/// results land in reused matrices (`multiply_mm_resident_into`, the farm's
+/// serve call).  Three passes: one lane, 16 lanes with distinct operands,
+/// and 16 lanes sharing one `B`, whose band is then broadcast across each
+/// lane block.
+fn bench_hot_lanes_shape() {
+    let mut group = BenchGroup::new("mm_resident_w4_64x64x64").sample_size(10);
+    let (w, n) = (4usize, 64usize);
+    let operand = |key: u64| OperandRef::named(key, gen::random_dense_f64(n, n, 500 + key));
+    let a: Vec<OperandRef> = (0..16).map(operand).collect();
+    let b: Vec<OperandRef> = (16..32).map(operand).collect();
+    let problem = |a, b| MmResidentProblem { a, b, e: None };
+    let cases: [(&str, Vec<MmResidentProblem<'_, f64>>); 3] = [
+        ("solo", vec![problem(&a[0], &b[0])]),
+        (
+            "lanes16_distinct",
+            a.iter().zip(&b).map(|(a, b)| problem(a, b)).collect(),
+        ),
+        (
+            "lanes16_shared_b",
+            a.iter().map(|a| problem(a, &b[0])).collect(),
+        ),
+    ];
+    let mut station = ArrayStation::new(w).unwrap();
+    let mut cache = BandCache::new(w, 32);
+    for (label, problems) in &cases {
+        let mut outs = vec![DenseMatrix::zeros(0, 0); problems.len()];
+        let mut reports = vec![StagingReport::default(); problems.len()];
+        let mut serve = || {
+            multiply_mm_resident_into(&mut station, &mut cache, problems, &mut outs, &mut reports)
+                .unwrap()
+        };
+        serve(); // warm-up: stages the bands
+        group.bench(label, &mut serve);
+    }
+}
+
 fn main() {
     bench_mm();
     bench_reuse_vs_fresh();
     bench_operand_construction();
     bench_batch();
+    bench_hot_lanes_shape();
 }

@@ -43,6 +43,10 @@ pub struct PerfRecord {
     /// in the steady state: the solver runs on a persistent warm
     /// [`ArrayStation`], the way the serving runtime executes it.
     pub wall_ns: f64,
+    /// Fastest sample of the same measurement.
+    pub wall_ns_min: f64,
+    /// Slowest sample of the same measurement.
+    pub wall_ns_max: f64,
     /// Simulated array steps per second of wall time.
     pub steps_per_second: f64,
     /// Mean heap allocations per solve during the timed samples
@@ -95,6 +99,8 @@ pub fn mm_perf_records() -> Vec<PerfRecord> {
             cycles_measured: outcome.cycles,
             cycles_predicted: MmShape { w, n, p, m }.cycles(),
             wall_ns: stats.median_ns,
+            wall_ns_min: stats.min_ns,
+            wall_ns_max: stats.max_ns,
             steps_per_second: outcome.cycles as f64 / (stats.median_ns / 1e9),
             allocs_per_solve: allocs as f64 / solves.max(1) as f64,
         });
@@ -135,6 +141,8 @@ pub fn mv_perf_records() -> Vec<PerfRecord> {
             cycles_measured: outcome.cycles,
             cycles_predicted: MvShape { w, n, m }.cycles(),
             wall_ns: stats.median_ns,
+            wall_ns_min: stats.min_ns,
+            wall_ns_max: stats.max_ns,
             steps_per_second: outcome.cycles as f64 / (stats.median_ns / 1e9),
             allocs_per_solve: allocs as f64 / solves.max(1) as f64,
         });
@@ -151,6 +159,7 @@ pub fn to_json(records: &[PerfRecord]) -> String {
                 "  {{\"kind\": \"{}\", \"w\": {}, \"n\": {}, \"p\": {}, \"m\": {}, ",
                 "\"cycles_measured\": {}, \"cycles_predicted\": {}, ",
                 "\"cycle_ratio\": {:.6}, \"wall_ns\": {:.1}, ",
+                "\"wall_ns_min\": {:.1}, \"wall_ns_max\": {:.1}, ",
                 "\"steps_per_second\": {:.1}, \"allocs_per_solve\": {:.1}}}"
             ),
             r.kind,
@@ -162,6 +171,8 @@ pub fn to_json(records: &[PerfRecord]) -> String {
             r.cycles_predicted,
             r.cycle_ratio(),
             r.wall_ns,
+            r.wall_ns_min,
+            r.wall_ns_max,
             r.steps_per_second,
             r.allocs_per_solve,
         ));
@@ -407,6 +418,8 @@ mod tests {
             cycles_measured: 51,
             cycles_predicted: 51,
             wall_ns: 1234.5,
+            wall_ns_min: 1200.0,
+            wall_ns_max: 1300.0,
             steps_per_second: 4.1e7,
             allocs_per_solve: 12.5,
         }];
@@ -416,6 +429,9 @@ mod tests {
         assert!(json.contains("\"cycles_measured\": 51"));
         assert!(json.contains("\"cycle_ratio\": 1.000000"));
         assert!(json.contains("\"allocs_per_solve\": 12.5"));
+        assert!(
+            json.contains("\"wall_ns\": 1234.5, \"wall_ns_min\": 1200.0, \"wall_ns_max\": 1300.0")
+        );
         // Exactly one record: no trailing comma.
         assert!(!json.contains("},\n]"));
     }
@@ -569,6 +585,8 @@ mod tests {
             cycles_measured: 1,
             cycles_predicted: 0,
             wall_ns: 1.0,
+            wall_ns_min: 1.0,
+            wall_ns_max: 1.0,
             steps_per_second: 1.0,
             allocs_per_solve: 0.0,
         };

@@ -388,7 +388,8 @@ pub fn multiply_mm_on<T: Scalar>(
         &[problem],
         slice::from_mut(&mut report),
     )?;
-    Ok(schedule.complete(scratch, 0, scratch.feedback_summary()))
+    let outcome = schedule.complete(scratch).next();
+    Ok(outcome.expect("a one-problem pass has one lane"))
 }
 
 /// One problem of a matrix–matrix lane pass, each operand given as
@@ -606,54 +607,50 @@ impl<T: Scalar> MmSchedule<T> {
         }
     }
 
-    /// Extracts the dense result of one lane from the engine workspace of
-    /// the run (`lane` is `0` for a solo run); `feedback` is the pass's
-    /// summary, computed once by the caller and shared by every lane.
-    ///
-    /// Each of the `n·m` final-chain reads is one O(1)
-    /// [`HexScratch::lane_value`] lookup in the engine's flat feedback
-    /// store — no intermediate output index is materialized.
-    pub(crate) fn complete(
-        &self,
-        scratch: &HexScratch<T>,
-        lane: usize,
-        feedback: FeedbackSummary,
-    ) -> MmOutcome<T> {
-        let shape = self.shape;
-        let mut c = DenseMatrix::zeros(shape.n, shape.m);
-        self.complete_into(scratch, lane, &mut c);
-        let utilization = scratch.utilization();
-        MmOutcome {
+    /// One outcome per lane of the run in `scratch`, in lane order: every
+    /// lane's result is extracted in one sweep ([`MmSchedule::extract`]),
+    /// and the lanes share one feedback summary (its event list is behind
+    /// an `Arc`, so each copy is O(1)).
+    pub(crate) fn complete(&self, scratch: &HexScratch<T>) -> impl Iterator<Item = MmOutcome<T>> {
+        let lanes = scratch.lanes();
+        let mut cs: [DenseMatrix<T>; crate::MAX_LANES] =
+            std::array::from_fn(|_| DenseMatrix::zeros(0, 0));
+        self.extract(scratch, &mut cs[..lanes]);
+        let (shape, cycles, utilization) = (self.shape, scratch.cycles(), scratch.utilization());
+        let feedback = scratch.feedback_summary();
+        cs.into_iter().take(lanes).map(move |c| MmOutcome {
             c,
             shape,
-            cycles: scratch.cycles(),
+            cycles,
             efficiency: utilization.efficiency(shape.n * shape.m * shape.p),
             activity: utilization.activity(),
-            feedback,
-        }
+            feedback: feedback.clone(),
+        })
     }
 
-    /// Fills a caller-provided matrix with one lane's result — the
-    /// allocation-free half of [`MmSchedule::complete`].  The caller must
-    /// hand in a matrix already shaped `n × m` (e.g. via
-    /// [`DenseMatrix::reset`] on a recycled one); no feedback summary is
-    /// materialized, because building one clones the engine's event list.
-    pub(crate) fn complete_into(
-        &self,
-        scratch: &HexScratch<T>,
-        lane: usize,
-        c: &mut DenseMatrix<T>,
-    ) {
-        let shape = self.shape;
-        debug_assert_eq!(c.shape(), (shape.n, shape.m));
-        for gi in 0..shape.n {
-            for gj in 0..shape.m {
-                let (bi, bj) = self.final_position[gi * shape.m + gj]
-                    .expect("every result element has an accumulation chain");
-                let value = scratch
-                    .lane_value(lane, bi, bj)
+    /// Reshapes `outs[l]` to `n × m` in place ([`DenseMatrix::reset`]
+    /// reuses its storage) and fills it with lane `l`'s result, for every
+    /// lane of the run in `scratch` at once: one sweep over the final chain
+    /// positions, each an O(1) [`HexScratch::lane_values`] lookup of the
+    /// whole lane block in the engine's flat feedback store.  Allocates
+    /// nothing when the matrices already have the capacity, and
+    /// materializes no feedback summary (building one clones the engine's
+    /// event list).
+    pub(crate) fn extract(&self, scratch: &HexScratch<T>, outs: &mut [DenseMatrix<T>]) {
+        let (n, m) = (self.shape.n, self.shape.m);
+        debug_assert_eq!(outs.len(), scratch.lanes());
+        for c in outs.iter_mut() {
+            c.reset(n, m);
+        }
+        for (gi, row) in self.final_position.chunks_exact(m).enumerate() {
+            for (gj, position) in row.iter().enumerate() {
+                let (bi, bj) = position.expect("every result element has an accumulation chain");
+                let values = scratch
+                    .lane_values(bi, bj)
                     .expect("the final chain member is produced by the array");
-                c[(gi, gj)] = value;
+                for (c, &value) in outs.iter_mut().zip(values) {
+                    c[(gi, gj)] = value;
+                }
             }
         }
     }

@@ -532,10 +532,8 @@ pub fn multiply_mm_resident_on<T: Scalar>(
     let mut report = StagingReport::default();
     let problem = [MmResidentProblem { a, b, e }];
     let (schedule, scratch) = mm_pass(station, cache, &problem, slice::from_mut(&mut report))?;
-    Ok((
-        schedule.complete(scratch, 0, scratch.feedback_summary()),
-        report,
-    ))
+    let outcome = schedule.complete(scratch).next();
+    Ok((outcome.expect("a one-problem pass has one lane"), report))
 }
 
 /// Computes up to [`crate::MAX_LANES`] same-shape `C = A·B + E` products
@@ -572,10 +570,7 @@ pub fn multiply_mm_resident_into<T: Scalar>(
         "one output and one report per problem"
     );
     let (schedule, scratch) = mm_pass(station, cache, problems, reports)?;
-    for (lane, out) in outs.iter_mut().enumerate() {
-        out.reset(schedule.shape.n, schedule.shape.m);
-        schedule.complete_into(scratch, lane, out);
-    }
+    schedule.extract(scratch, outs);
     Ok(scratch.cycles())
 }
 
@@ -608,13 +603,7 @@ pub fn multiply_mm_resident_lanes_on<T: Scalar>(
         .zip(reports.chunks_mut(crate::MAX_LANES))
     {
         let (schedule, scratch) = mm_pass(station, cache, chunk, reports)?;
-        // One summary per pass: lanes share the feedback schedule, and the
-        // summary's event list is behind an `Arc`, so each outcome's copy
-        // is O(1).
-        let feedback = scratch.feedback_summary();
-        outcomes.extend(
-            (0..chunk.len()).map(|lane| schedule.complete(scratch, lane, feedback.clone())),
-        );
+        outcomes.extend(schedule.complete(scratch));
     }
     Ok((outcomes, reports))
 }

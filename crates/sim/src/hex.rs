@@ -37,20 +37,26 @@
 //! scratch that runs the same structure again reuses the tapes of its last
 //! run instead of rebuilding them.
 //!
+//! The array is data-oblivious, so the exit order and the feedback events
+//! follow from the tapes too: the first successful run on a set of tapes
+//! **records** them, later runs on those tapes keep them, and a rebuild or a
+//! failed run discards them.  Every pass still runs the whole cycle loop.
+//!
 //! The three register planes are stored as **ring buffers** whose
 //! addressing absorbs the dataflow: a value keeps its slot for its whole
 //! life (`a`/`b`: slot `(edge + t) mod w` per lane; `c`: one ring per
 //! result diagonal), so the per-cycle plane shift of a naive RTL simulator
-//! disappears entirely.  The compute scan visits only the occupied
+//! disappears entirely.  The compute scan visits only the
 //! **anti-diagonal wavefront**: cell `(α, β)` can fire at cycle `t` only
-//! when `3 | (t − w + 1 + α + β)`, so two thirds of the cells are skipped
-//! without being touched.  Feedback values live in a flat vector indexed by
-//! result-band offset.
+//! when `3 | (t − w + 1 + α + β)`, so for each `α` the scan steps `β` by 3
+//! and two thirds of the cells are skipped without being touched.  Exits
+//! park their lane blocks in a flat store indexed by result-band offset.
 //!
 //! Since the zero-allocation rework, every per-run buffer lives in a
 //! reusable [`HexScratch`] workspace that is **cleared, not freed**, between
-//! runs: [`HexArray::run_with`] performs no heap allocation once the scratch
-//! is warm.  The register planes are **struct-of-arrays** (value planes,
+//! runs (the feedback store's value planes only grow; its occupancy plane is
+//! cleared): [`HexArray::run_with`] performs no heap allocation once the
+//! scratch is warm.  The register planes are **struct-of-arrays** (value planes,
 //! occupancy bitmask planes and index planes, see `crate::plane`) so the
 //! wavefront scan tests one occupancy bit per cell instead of matching
 //! `Option` discriminants, and the cycle loop **fast-forwards** over idle
@@ -168,9 +174,8 @@ impl<T: Scalar> HexReport<T> {
     /// Looks up the output value at result position `(i, j)`, if that
     /// position was produced.
     ///
-    /// This is a linear scan; callers that read many positions should build
-    /// an index over [`HexReport::outputs`] instead (the `sia-dbt` solvers
-    /// do).
+    /// This is a linear scan; callers that read many positions should read
+    /// [`HexScratch::lane_values`] instead (the `sia-dbt` solvers do).
     pub fn value(&self, i: usize, j: usize) -> Option<T> {
         self.outputs
             .iter()
@@ -224,6 +229,15 @@ struct OperandTag {
     slot: u32,
 }
 
+/// One recorded exit: result position `(row, col)` left the array at the
+/// end of `cycle`.  Its value stays in the feedback store.
+#[derive(Debug, Clone, Copy)]
+struct Exit {
+    row: u32,
+    col: u32,
+    cycle: u32,
+}
+
 /// The structure a scratch's tapes were built for.
 #[derive(Debug, Clone)]
 struct TapeKey<T> {
@@ -238,31 +252,35 @@ struct TapeKey<T> {
 
 /// The reusable per-run workspace of one [`HexArray`]: injection tapes,
 /// struct-of-arrays register planes (value + occupancy bitmask + index
-/// planes), the flat feedback store, and the event/output vectors of the
-/// most recent run.
+/// planes), the flat feedback store, and the structural records (exit list
+/// and feedback events) of the tapes.
 ///
-/// Buffers are **cleared, not freed**, between runs: after a warm-up run of
-/// a given shape, [`HexArray::run_with`] on the same scratch performs zero
-/// heap allocations (asserted by the counting-allocator test in
-/// `tests/allocations.rs`).  One scratch lives inside every
+/// Buffers are **cleared, not freed**, between runs (the feedback store's
+/// value planes only grow, guarded by its occupancy plane): after a warm-up
+/// run of a given shape, [`HexArray::run_with`] on the same scratch
+/// performs zero heap allocations (asserted by the counting-allocator test
+/// in `tests/allocations.rs`).  One scratch lives inside every
 /// [`crate::ArrayStation`], which is how the serving runtime reaches the
 /// allocation-free steady state.
 ///
 /// The value-free tapes are **kept across runs**: a run with the last run's
 /// structure (`w`, both band shapes, the injection schedule up to its
-/// literal values) reuses them, any other run rebuilds them in place.
+/// literal values) reuses them, any other run rebuilds them in place; the
+/// exit and feedback records of the tapes are kept with them.
 ///
 /// The **value** planes carry a lane dimension (slot `idx` of lane `l`
 /// lives at `idx * lanes + l`): a lane-parallel run
 /// ([`HexArray::run_lanes_with`]) executes L same-shape jobs in one array
 /// pass, sharing every structural plane (tapes, occupancy, indices,
-/// cursors) across the lanes.  A plain [`HexArray::run_with`] is the
-/// `lanes == 1` special case of the same engine, so its layout and cost
-/// are unchanged.
+/// cursors, records) across the lanes.  An operand band or schedule that
+/// every lane holds (one `Arc`) is read once per injection and filled
+/// across the lane block.  A plain [`HexArray::run_with`] is the
+/// `lanes == 1` special case of the same engine.
 ///
 /// The results of the last successful run stay readable on the scratch
 /// ([`HexScratch::outputs`], [`HexScratch::outputs_of`],
-/// [`HexScratch::cycles`], …) until the next run overwrites them.
+/// [`HexScratch::lane_values`], [`HexScratch::cycles`], …) until the next
+/// run overwrites them.
 #[derive(Debug, Clone)]
 pub struct HexScratch<T> {
     a_tape: Tape<OperandTag>,
@@ -295,12 +313,16 @@ pub struct HexScratch<T> {
     /// divides (every other ring slot is an offset from it).
     c_exit: Vec<u32>,
     // Flat feedback store, SoA: one slot per result-band position, value
-    // plane lane-strided.
+    // plane lane-strided.  The value and cycle planes only grow: `fb_occ`,
+    // cleared every run, guards every read.
     fb_val: Vec<T>,
-    fb_cycle: Vec<usize>,
+    fb_cycle: Vec<u32>,
     fb_occ: BitPlane,
+    // The records of the tapes: exits in exit order, feedback events in
+    // consumption order, and whether both are complete for the held tapes.
+    exits: Vec<Exit>,
     fb_events: Vec<FeedbackEvent>,
-    outputs: Vec<CellOutput<T>>,
+    recorded: bool,
     // Results of the last run.
     w: usize,
     lanes: usize,
@@ -341,8 +363,9 @@ impl<T: Scalar> HexScratch<T> {
             fb_val: Vec::new(),
             fb_cycle: Vec::new(),
             fb_occ: BitPlane::new(),
+            exits: Vec::new(),
             fb_events: Vec::new(),
-            outputs: Vec::new(),
+            recorded: false,
             w: 0,
             lanes: 1,
             fired: 0,
@@ -414,56 +437,50 @@ impl<T: Scalar> HexScratch<T> {
     }
 
     /// All outputs of the last run's lane 0, in the order they left the
-    /// array.
-    pub fn outputs(&self) -> &[CellOutput<T>] {
-        &self.outputs
+    /// array: `outputs_of(0)`.
+    pub fn outputs(&self) -> impl ExactSizeIterator<Item = CellOutput<T>> + '_ {
+        self.outputs_of(0)
     }
 
     /// The outputs of lane `lane` of the last run, in the order they left
-    /// the array.  `outputs_of(0)` yields [`HexScratch::outputs`]; every
-    /// lane exits in lockstep, so all lanes share output ordering and
-    /// cycles, and lanes `1..` differ only in the value — which is read
-    /// back from the lane-strided flat feedback store (every exit parks its
-    /// whole lane block there), so no per-lane output stream is ever
-    /// materialized.
+    /// the array.  Every lane exits in lockstep, so all lanes share output
+    /// ordering and cycles (the recorded exit list) and differ only in the
+    /// value, which is read back from the lane-strided flat feedback store
+    /// (every exit parks its whole lane block there), so no output stream
+    /// is ever materialized.
     ///
     /// # Panics
     ///
     /// Panics if `lane >= self.lanes()`.
-    pub fn outputs_of(&self, lane: usize) -> impl Iterator<Item = CellOutput<T>> + '_ {
+    pub fn outputs_of(&self, lane: usize) -> impl ExactSizeIterator<Item = CellOutput<T>> + '_ {
         assert!(lane < self.lanes, "lane {lane} out of {} lanes", self.lanes);
-        let (w, lanes) = (self.w, self.lanes);
-        let band_width = 2 * w - 1;
-        self.outputs.iter().map(move |o| {
-            if lane == 0 {
-                *o
-            } else {
-                let fidx = o.row * band_width + (o.col + w - 1 - o.row);
-                CellOutput {
-                    value: self.fb_val[fidx * lanes + lane],
-                    ..*o
-                }
+        self.exits.iter().map(move |e| {
+            let (row, col) = (e.row as usize, e.col as usize);
+            let values = self
+                .lane_values(row, col)
+                .expect("every recorded exit parked its lane block");
+            CellOutput {
+                row,
+                col,
+                value: values[lane],
+                cycle: e.cycle as usize,
             }
         })
     }
 
-    /// The value lane `lane` produced at result-band position `(row, col)`
-    /// in the last run, read straight from the lane-strided flat feedback
-    /// store (every exit parks its whole lane block there); `None` when the
-    /// array never emitted that position.  This is the O(1) extraction path
-    /// result assembly uses — no per-lane output stream is materialized.
+    /// Every lane's value at result-band position `(row, col)` in the last
+    /// run (one per lane, in lane order), read straight from the
+    /// lane-strided flat feedback store; `None` when the array never emitted
+    /// that position.  One occupancy test serves the whole lane block, which
+    /// is how result assembly extracts every lane in one sweep.
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= self.lanes()` or `(row, col)` lies outside the
-    /// result band of the last run.
-    pub fn lane_value(&self, lane: usize, row: usize, col: usize) -> Option<T> {
-        assert!(lane < self.lanes, "lane {lane} out of {} lanes", self.lanes);
-        let band_width = 2 * self.w - 1;
-        let fidx = row * band_width + (col + self.w - 1 - row);
-        self.fb_occ
-            .get(fidx)
-            .then(|| self.fb_val[fidx * self.lanes + lane])
+    /// Panics if `(row, col)` lies outside the result band of the last run.
+    pub fn lane_values(&self, row: usize, col: usize) -> Option<&[T]> {
+        let fidx = row * (2 * self.w - 1) + (col + self.w - 1 - row);
+        let block = fidx * self.lanes..(fidx + 1) * self.lanes;
+        self.fb_occ.get(fidx).then(|| &self.fb_val[block])
     }
 
     /// Number of value lanes of the last run (1 for a plain run).
@@ -516,7 +533,7 @@ impl<T: Scalar> HexScratch<T> {
     /// Copies the last run's results out into an owned [`HexReport`].
     pub fn report(&self) -> HexReport<T> {
         HexReport {
-            outputs: self.outputs.clone(),
+            outputs: self.outputs().collect(),
             last_fire_cycle: self.last_fire_cycle,
             cycles: self.cycles(),
             utilization: self.utilization(),
@@ -603,6 +620,26 @@ fn literal<T: Copy>(schedule: &[InjectionEntry<T>], idx: u32) -> T {
     match schedule[idx as usize].1 {
         CInjection::Value(v) => v,
         CInjection::Feedback { .. } => unreachable!("a tape literal names a feedback entry"),
+    }
+}
+
+/// Latches storage `slot` of every lane's band (`bands`, in lane order)
+/// into one lane block; a band all lanes hold (`shared`) is read once and
+/// filled.  Mates have lane 0's band shape, so one slot addresses them all.
+#[inline]
+fn latch<'a, T: Scalar>(
+    block: &mut [T],
+    shared: bool,
+    slot: u32,
+    mut bands: impl Iterator<Item = &'a [T]>,
+) {
+    let slot = slot as usize;
+    if shared {
+        block.fill(bands.next().expect("a pass has a lane")[slot]);
+    } else {
+        for (v, band) in block.iter_mut().zip(bands) {
+            *v = band[slot];
+        }
     }
 }
 
@@ -711,8 +748,8 @@ impl HexArray {
 
     /// Runs one job through the array, reusing the caller's workspace.
     ///
-    /// All per-run buffers (tapes, register planes, feedback store, event
-    /// and output vectors) live in `scratch` and are cleared-not-freed, so
+    /// All per-run buffers (tapes, register planes, feedback store, exit and
+    /// event records) live in `scratch` and are cleared-not-freed, so
     /// repeated runs of same-shaped jobs perform **no heap allocation**
     /// after the first.  The results stay readable on the scratch
     /// ([`HexScratch::outputs`] and friends) until the next run; they are
@@ -767,9 +804,10 @@ impl HexArray {
     /// Runs L **same-shape** jobs through the array in a single
     /// lane-parallel pass, reusing the caller's workspace.
     ///
-    /// The injection tapes, occupancy planes, index planes and ring cursors
-    /// are functions of the job *shape* only, so L shape-mates share one
-    /// set; only the value planes carry a lane dimension.  Every cell
+    /// The injection tapes, occupancy planes, index planes, ring cursors
+    /// and the exit and feedback records are functions of the job *shape*
+    /// only, so L shape-mates share one set; only the value planes carry a
+    /// lane dimension.  Every cell
     /// firing therefore updates L accumulators at once (the
     /// autovectorizable lane block), and the per-cycle structural work —
     /// tape walks, occupancy tests, cursor advances — is paid once instead
@@ -790,6 +828,9 @@ impl HexArray {
         jobs: &[HexJob<T>],
         scratch: &mut HexScratch<T>,
     ) -> Result<(), SimError> {
+        // Cleared until this run succeeds: a failed run's partial records
+        // are never reused.
+        let recorded = std::mem::take(&mut scratch.recorded);
         self.validate_lanes(jobs)?;
         let lanes = jobs.len();
         let job = &jobs[0];
@@ -802,17 +843,23 @@ impl HexArray {
         // ---- injection tapes ------------------------------------------------
         // Value-free and structure-keyed: a run of the last run's structure
         // reuses them as they are.
-        if !scratch.tapes_fit(w, job) {
+        let fits = scratch.tapes_fit(w, job);
+        if !fits {
             scratch.build_tapes(w, job, horizon);
         }
+        // The exits and feedback events are functions of the same structure:
+        // recorded by the first successful run on the tapes, then kept.
+        let record = !(recorded && fits);
         // Every result-band position enters, and leaves, exactly once.
         let expected_outputs = scratch.c_tape.len();
-        // Mates sharing lane 0's schedule `Arc` share its literals too, so
-        // a literal is read once and filled across the lane block.
-        let shared_schedule = jobs
-            .iter()
-            .skip(1)
-            .all(|mate| Arc::ptr_eq(&mate.c_injections, &job.c_injections));
+        // Mates holding lane 0's schedule, `a` or `b` `Arc` share its values
+        // too, so each such value is read once and filled across the lane
+        // block.
+        let shared =
+            |same: fn(&HexJob<T>, &HexJob<T>) -> bool| jobs[1..].iter().all(|mate| same(mate, job));
+        let shared_schedule = shared(|x, y| Arc::ptr_eq(&x.c_injections, &y.c_injections));
+        let shared_a = shared(|x, y| Arc::ptr_eq(&x.a, &y.a));
+        let shared_b = shared(|x, y| Arc::ptr_eq(&x.b, &y.b));
         let band_width = 2 * w - 1;
         let fb_idx = |i: usize, j: usize| i * band_width + (j + w - 1 - i);
 
@@ -849,19 +896,27 @@ impl HexArray {
         reset_vec(&mut scratch.c_exit, n_diags, 0);
 
         // ---- flat feedback store --------------------------------------------
-        // One slot per result-band position (i, j), |i - j| < w.
-        reset_vec(&mut scratch.fb_val, n_rows * band_width * lanes, T::zero());
-        reset_vec(&mut scratch.fb_cycle, n_rows * band_width, 0);
-        scratch.fb_occ.reset(n_rows * band_width);
-        scratch.fb_events.clear();
-        scratch.outputs.clear();
-        scratch.outputs.reserve(expected_outputs);
+        // One slot per result-band position (i, j), |i - j| < w.  Only the
+        // occupancy is cleared: every read is of a slot this run marks.
+        let positions = n_rows * band_width;
+        let fb_len = scratch.fb_val.len().max(positions * lanes);
+        scratch.fb_val.resize(fb_len, T::zero());
+        scratch
+            .fb_cycle
+            .resize(scratch.fb_cycle.len().max(positions), 0);
+        scratch.fb_occ.reset(positions);
+        if record {
+            scratch.exits.clear();
+            scratch.exits.reserve(expected_outputs);
+            scratch.fb_events.clear();
+        }
         scratch.w = w;
         scratch.lanes = lanes;
 
         let mut a_count = 0usize;
         let mut b_count = 0usize;
         let mut c_count = 0usize;
+        let mut exited = 0usize;
         let mut fired = 0usize;
         let mut last_fire_cycle = 0usize;
         let mut skipped = 0usize;
@@ -888,8 +943,8 @@ impl HexArray {
             fb_val,
             fb_cycle,
             fb_occ,
+            exits,
             fb_events,
-            outputs,
             ..
         } = scratch;
         // Ring cursors, maintained incrementally so the hot loop never
@@ -915,7 +970,7 @@ impl HexArray {
         let (mut tm, mut in_slot, mut wave) = recompute_cursors(t, c_exit);
         let wrap_w = |x: usize| if x >= w { x - w } else { x };
 
-        while outputs.len() < expected_outputs && t <= horizon {
+        while exited < expected_outputs && t <= horizon {
             // 0. Event-driven cycle skipping: when every plane is empty,
             //    nothing can fire, exit or fall off, so fast-forward `t`
             //    straight to the next tape event (idle prologue / epilogue /
@@ -960,12 +1015,13 @@ impl HexArray {
             }
             for tag in a_tape.at(t) {
                 let idx = (tag.col - tag.row) as usize * w + in_slot;
-                // Every mate has lane 0's band shape, so the tape's storage
-                // slot addresses the entry in each lane's own band.
-                let slot = tag.slot as usize;
-                for (v, mate) in a_val[idx * lanes..(idx + 1) * lanes].iter_mut().zip(jobs) {
-                    *v = mate.a.storage()[slot];
-                }
+                let block = &mut a_val[idx * lanes..(idx + 1) * lanes];
+                latch(
+                    block,
+                    shared_a,
+                    tag.slot,
+                    jobs.iter().map(|j| j.a.storage()),
+                );
                 a_i[idx] = tag.row;
                 a_k[idx] = tag.col;
                 if !a_occ.set(idx) {
@@ -974,10 +1030,13 @@ impl HexArray {
             }
             for tag in b_tape.at(t) {
                 let idx = (tag.row - tag.col) as usize * w + in_slot;
-                let slot = tag.slot as usize;
-                for (v, mate) in b_val[idx * lanes..(idx + 1) * lanes].iter_mut().zip(jobs) {
-                    *v = mate.b.storage()[slot];
-                }
+                let block = &mut b_val[idx * lanes..(idx + 1) * lanes];
+                latch(
+                    block,
+                    shared_b,
+                    tag.slot,
+                    jobs.iter().map(|j| j.b.storage()),
+                );
                 b_k[idx] = tag.row;
                 b_j[idx] = tag.col;
                 if !b_occ.set(idx) {
@@ -1015,19 +1074,21 @@ impl HexArray {
                                 needed_at: t,
                             });
                         }
-                        let produced_at = fb_cycle[pidx];
+                        let produced_at = fb_cycle[pidx] as usize;
                         if produced_at >= t {
                             return Err(SimError::FeedbackNotReady {
                                 producer,
                                 needed_at: t,
                             });
                         }
-                        fb_events.push(FeedbackEvent {
-                            producer,
-                            consumer: (i, j),
-                            produced_at,
-                            consumed_at: t,
-                        });
+                        if record {
+                            fb_events.push(FeedbackEvent {
+                                producer,
+                                consumer: (i, j),
+                                produced_at,
+                                consumed_at: t,
+                            });
+                        }
                         block.copy_from_slice(&fb_val[pidx * lanes..(pidx + 1) * lanes]);
                     }
                 }
@@ -1042,53 +1103,44 @@ impl HexArray {
             //    Cell (alpha, beta) fires for (i, j, k) at cycle
             //    i + j + k + w - 1 with 3k = t - w + 1 + alpha + beta, so
             //    only cells with (alpha + beta) == (w - 1 - t) mod 3 can
-            //    fire — two thirds of the grid is skipped outright.  The
-            //    scan walks each `a` row's occupancy a whole `u64` word at a
-            //    time (set-bit iteration instead of one probe per slot): an
-            //    occupied slot at row offset `col` holds the value of
-            //    beta = (col - tm) mod w, which fires iff it carries the
-            //    wavefront parity.  Cells are visited in slot order rather
-            //    than beta order; distinct cells own distinct accumulators,
-            //    so per-cell results are unchanged.
+            //    fire: for each alpha the scan visits beta = need, need + 3,
+            //    ... and tests the three occupancy bits, so two thirds of the
+            //    grid is never touched.  The a value of (alpha, beta) sits in
+            //    slot (beta + t) mod w of a row alpha, the b value in slot
+            //    (alpha + t) mod w of b row beta.
             let mut need = wave;
             for alpha in 0..w {
-                let row = alpha * w;
-                for a_idx in a_occ.ones_in_range(row, row + w) {
-                    let col = a_idx - row;
-                    let beta = if col >= tm { col - tm } else { col + w - tm };
-                    if beta % 3 != need {
+                let b_slot = wrap_w(alpha + tm);
+                for beta in (need..w).step_by(3) {
+                    let a_idx = alpha * w + wrap_w(beta + tm);
+                    let b_idx = beta * w + b_slot;
+                    if !(a_occ.get(a_idx) && b_occ.get(b_idx)) {
                         continue;
                     }
-                    let b_idx = beta * w + wrap_w(alpha + tm);
-                    if b_occ.get(b_idx) {
-                        let di = alpha + w - 1 - beta;
-                        let len = diag_len(di);
-                        let pos = alpha.min(beta);
-                        let s = pos + c_exit[di] as usize + 1;
-                        let slot = if s >= len { s - len } else { s };
-                        let cell = c_off[di] + slot;
-                        if c_occ.get(cell) {
-                            debug_assert_eq!(
-                                a_k[a_idx], b_k[b_idx],
-                                "a and b must share the inner index"
+                    let di = alpha + w - 1 - beta;
+                    let len = diag_len(di);
+                    let pos = alpha.min(beta);
+                    let s = pos + c_exit[di] as usize + 1;
+                    let slot = if s >= len { s - len } else { s };
+                    let cell = c_off[di] + slot;
+                    if c_occ.get(cell) {
+                        debug_assert_eq!(
+                            a_k[a_idx], b_k[b_idx],
+                            "a and b must share the inner index"
+                        );
+                        debug_assert_eq!(a_i[a_idx], c_row[cell], "a row must match c row");
+                        debug_assert_eq!(b_j[b_idx], c_col[cell], "b column must match c column");
+                        if lanes == 1 {
+                            c_val[cell] += a_val[a_idx] * b_val[b_idx];
+                        } else {
+                            mac_lanes(
+                                &mut c_val[cell * lanes..(cell + 1) * lanes],
+                                &a_val[a_idx * lanes..(a_idx + 1) * lanes],
+                                &b_val[b_idx * lanes..(b_idx + 1) * lanes],
                             );
-                            debug_assert_eq!(a_i[a_idx], c_row[cell], "a row must match c row");
-                            debug_assert_eq!(
-                                b_j[b_idx], c_col[cell],
-                                "b column must match c column"
-                            );
-                            if lanes == 1 {
-                                c_val[cell] += a_val[a_idx] * b_val[b_idx];
-                            } else {
-                                mac_lanes(
-                                    &mut c_val[cell * lanes..(cell + 1) * lanes],
-                                    &a_val[a_idx * lanes..(a_idx + 1) * lanes],
-                                    &b_val[b_idx * lanes..(b_idx + 1) * lanes],
-                                );
-                            }
-                            fired += 1;
-                            last_fire_cycle = t;
                         }
+                        fired += 1;
+                        last_fire_cycle = t;
                     }
                 }
                 need = if need == 0 { 2 } else { need - 1 };
@@ -1101,23 +1153,21 @@ impl HexArray {
                 let cell = c_off[di] + c_exit[di] as usize;
                 if c_occ.take(cell) {
                     c_count -= 1;
-                    let (row, col) = (c_row[cell] as usize, c_col[cell] as usize);
-                    let base = cell * lanes;
-                    outputs.push(CellOutput {
-                        row,
-                        col,
-                        value: c_val[base],
-                        cycle: t,
-                    });
-                    // The feedback store copy below parks every lane's value
-                    // (outputs are unique per band position), so lanes `1..`
-                    // need no output stream of their own —
-                    // [`HexScratch::outputs_of`] reads them back from there.
-                    let fidx = fb_idx(row, col);
+                    exited += 1;
+                    let (row, col) = (c_row[cell], c_col[cell]);
+                    // The feedback store parks every lane's value (outputs
+                    // are unique per band position), so no output stream is
+                    // kept: [`HexScratch::outputs_of`] and
+                    // [`HexScratch::lane_values`] read the values from there.
+                    let fidx = fb_idx(row as usize, col as usize);
                     fb_val[fidx * lanes..(fidx + 1) * lanes]
-                        .copy_from_slice(&c_val[base..base + lanes]);
-                    fb_cycle[fidx] = t;
+                        .copy_from_slice(&c_val[cell * lanes..(cell + 1) * lanes]);
+                    fb_cycle[fidx] = t as u32;
                     fb_occ.set(fidx);
+                    if record {
+                        let cycle = t as u32;
+                        exits.push(Exit { row, col, cycle });
+                    }
                 }
             }
 
@@ -1139,6 +1189,7 @@ impl HexArray {
         scratch.fired = fired;
         scratch.last_fire_cycle = last_fire_cycle;
         scratch.skipped_cycles = skipped;
+        scratch.recorded = true;
         Ok(())
     }
 }
@@ -1240,7 +1291,8 @@ mod tests {
             }
             let fresh = hex.run(&job).unwrap();
             hex.run_with(&job, &mut scratch).unwrap();
-            assert_eq!(scratch.outputs(), &fresh.outputs[..], "seed {seed}");
+            let outputs: Vec<_> = scratch.outputs().collect();
+            assert_eq!(outputs, fresh.outputs, "seed {seed}");
             assert_eq!(scratch.cycles(), fresh.cycles);
             assert_eq!(scratch.utilization(), fresh.utilization);
             assert_eq!(scratch.feedback_summary(), fresh.feedback);
@@ -1355,6 +1407,19 @@ mod tests {
                 let not_ready = matches!(result, Err(SimError::FeedbackNotReady { .. }));
                 assert!(not_ready, "{result:?}");
             }
+        }
+        // The failed runs left partial records behind: valid jobs on the
+        // same scratch, one of them with a feedback chain and run twice
+        // (records made, then reused), report what fresh runs report.
+        let chained = HexJob {
+            c_injections: Arc::new(vec![((3, 3), CInjection::Feedback { producer: (0, 0) })]),
+            ..valid.clone()
+        };
+        for next in [&valid, &chained, &chained] {
+            hex.run_with(next, &mut scratch).unwrap();
+            let fresh = hex.run(next).unwrap();
+            assert_eq!(scratch.outputs().collect::<Vec<_>>(), fresh.outputs);
+            assert_eq!(scratch.feedback_events(), &fresh.feedback.events[..]);
         }
     }
 
@@ -1485,32 +1550,53 @@ mod tests {
         let w = 3;
         let n = 7;
         let hex = HexArray::new(w).unwrap();
+        // Shape-mates with different values, literal injections and a
+        // feedback chain shared structurally by every lane.
+        let mate = |seed: u64| {
+            let (_, ba) = upper_band(n, w, 700 + seed);
+            let (_, bb) = lower_band(n, w, 800 + seed);
+            let mut job = HexJob::product(ba, bb);
+            let injections = Arc::make_mut(&mut job.c_injections);
+            injections.push(((0, 1), CInjection::Value(5 + seed as i64)));
+            injections.push(((4, 4), CInjection::Feedback { producer: (0, 0) }));
+            job
+        };
+        let mut seed = 0;
+        let mut batch = |lanes: u64| {
+            seed += lanes;
+            (seed..seed + lanes).map(mate).collect::<Vec<_>>()
+        };
+        // One scratch throughout: narrower passes follow wider ones over
+        // the grow-only feedback store, and every pass after the first
+        // reuses the tapes and the records of the first.
+        let mut batches: Vec<Vec<HexJob<i64>>> =
+            [1, 2, 3, 5, 8, 3, 1].into_iter().map(&mut batch).collect();
+        // Mates holding lane 0's `a` band, then its `b` band: one read of
+        // that operand is filled across each lane block.
+        let mut shared_a = batch(4);
+        let mut shared_b = batch(4);
+        for l in 1..4 {
+            shared_a[l].a = Arc::clone(&shared_a[0].a);
+            shared_b[l].b = Arc::clone(&shared_b[0].b);
+        }
+        batches.extend([shared_a, shared_b]);
         let mut scratch = HexScratch::new();
-        for lanes in [1usize, 2, 3, 5, 8] {
-            // Shape-mates with different values, literal injections and a
-            // feedback chain shared structurally by every lane.
-            let jobs: Vec<HexJob<i64>> = (0..lanes as u64)
-                .map(|l| {
-                    let (_, ba) = upper_band(n, w, 700 + l);
-                    let (_, bb) = lower_band(n, w, 800 + l);
-                    let mut job = HexJob::product(ba, bb);
-                    let injections = Arc::make_mut(&mut job.c_injections);
-                    injections.push(((0, 1), CInjection::Value(5 + l as i64)));
-                    injections.push(((4, 4), CInjection::Feedback { producer: (0, 0) }));
-                    job
-                })
-                .collect();
-            hex.run_lanes_with(&jobs, &mut scratch).unwrap();
-            assert_eq!(scratch.lanes(), lanes);
+        for (pass, jobs) in batches.iter().enumerate() {
+            hex.run_lanes_with(jobs, &mut scratch).unwrap();
+            assert_eq!(scratch.lanes(), jobs.len());
             for (lane, job) in jobs.iter().enumerate() {
-                let solo = hex.run(job).unwrap();
+                let mut fresh = HexScratch::new();
+                hex.run_with(job, &mut fresh).unwrap();
+                let at = format!("pass {pass}, lane {lane} of {}", jobs.len());
                 assert_eq!(
                     scratch.outputs_of(lane).collect::<Vec<_>>(),
-                    solo.outputs,
-                    "lane {lane} of {lanes}"
+                    fresh.outputs().collect::<Vec<_>>(),
+                    "{at}"
                 );
-                assert_eq!(scratch.cycles(), solo.cycles);
-                assert_eq!(scratch.fired(), solo.utilization.fired);
+                assert_eq!(scratch.feedback_events(), fresh.feedback_events(), "{at}");
+                assert_eq!(scratch.fired(), fresh.fired(), "{at}");
+                assert_eq!(scratch.skipped_cycles(), fresh.skipped_cycles(), "{at}");
+                assert_eq!(scratch.cycles(), fresh.cycles(), "{at}");
             }
         }
     }
@@ -1549,6 +1635,6 @@ mod tests {
         hex.run_lanes_with(&[base.clone(), base], &mut scratch)
             .unwrap();
         assert_eq!(scratch.lanes(), 2);
-        assert_eq!(scratch.outputs(), scratch.outputs_of(1).collect::<Vec<_>>());
+        assert!(scratch.outputs().eq(scratch.outputs_of(1)));
     }
 }

@@ -29,15 +29,19 @@ run_selected() {
         || { echo "no test matched: $*" >&2; return 1; }
 }
 
-echo "== lane-equivalence property tests, default target"
+echo "== lane-equivalence property and engine tests, default target"
 run_selected cargo test -q --release --test properties lane_parallel
+run_selected cargo test -q --release -p sia-sim lane_parallel
 
-echo "== lane-equivalence property tests, -C target-cpu=native"
-# The lane inner loops are written to auto-vectorize; prove bit-identity
-# holds under the host's widest SIMD codegen too.  A separate target dir
-# keeps the native rebuild from thrashing the default-target cache.
+echo "== lane-equivalence property and engine tests, -C target-cpu=native"
+# The lane inner loops (the MAC and the shared-band broadcast) are written
+# to auto-vectorize; prove bit-identity holds under the host's widest SIMD
+# codegen too.  A separate target dir keeps the native rebuild from
+# thrashing the default-target cache.
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
     run_selected cargo test -q --release --test properties lane_parallel
+RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+    run_selected cargo test -q --release -p sia-sim lane_parallel
 
 echo "== farmbench: build and unit tests"
 # The end-to-end benchmark is its own cargo package; building it here

@@ -114,6 +114,16 @@ fn steady_state_station_serving_allocates_nothing() {
         })
         .collect();
 
+    // Lane mates of the first structure that all hold lane 0's `b` band:
+    // the engine reads each `b` value once and fills the lane block.
+    let shared_lane_jobs: Vec<HexJob<f64>> = hex_lane_jobs
+        .iter()
+        .map(|mate| HexJob {
+            b: std::sync::Arc::clone(&hex_lane_jobs[0].b),
+            ..mate.clone()
+        })
+        .collect();
+
     let mut station = ArrayStation::<f64>::new(w).unwrap();
 
     // Warm-up: the first run of each shape sizes every buffer, including
@@ -129,6 +139,7 @@ fn steady_state_station_serving_allocates_nothing() {
     station.run_hex_lanes(&hex_lane_jobs).unwrap();
     station.run_hex_lanes(&other_lane_jobs).unwrap();
     station.run_mv_lanes(&mv_lane_jobs).unwrap();
+    station.run_hex_lanes(&shared_lane_jobs).unwrap();
     // The test harness registers this test on its own thread just after
     // starting it, and the counter is process-wide: on a loaded machine
     // that bookkeeping can land in the first window unless the harness
@@ -158,12 +169,27 @@ fn steady_state_station_serving_allocates_nothing() {
         assert_eq!(mv_scratch.lanes(), lanes);
         assert_eq!(mv_scratch.outputs().len(), mv_outputs);
     }
+    // One hex structure back to back: a 4-lane pass, a solo pass (both reuse
+    // the tapes and the exit and feedback records, and the solo pass runs
+    // over the wider pass's grow-only feedback store), then a 4-lane pass
+    // whose mates share one band `Arc`.
+    for _ in 0..jobs {
+        let hex_scratch = station.run_hex_lanes(&hex_lane_jobs).unwrap();
+        assert_eq!(hex_scratch.outputs().len(), hex_outputs);
+        let hex_scratch = station.run_hex_lanes(solo_hex).unwrap();
+        assert_eq!(hex_scratch.lanes(), 1);
+        assert_eq!(hex_scratch.outputs().len(), hex_outputs);
+        let hex_scratch = station.run_hex_lanes(&shared_lane_jobs).unwrap();
+        assert_eq!(hex_scratch.lanes(), lanes);
+        assert_eq!(hex_scratch.outputs().len(), hex_outputs);
+    }
     let after = allocation_count();
     assert_eq!(
         after - before,
         0,
         "farm steady state must be allocation-free: {} allocations over {jobs} \
-         solo and {jobs} lane-parallel passes of each of two hex structures and one mv",
+         solo and {jobs} lane-parallel passes of each of two hex structures and one mv, \
+         and {jobs} rounds of 4-lane, solo and shared-band passes of one structure",
         after - before
     );
 

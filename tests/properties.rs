@@ -248,7 +248,11 @@ fn reused_hex_scratch_is_bit_identical_to_fresh_runs_across_random_shapes() {
         }
         let fresh = hex.run(&job).unwrap();
         hex.run_with(&job, &mut scratch).unwrap();
-        assert_eq!(scratch.outputs(), &fresh.outputs[..], "n={n}");
+        assert_eq!(
+            scratch.outputs().collect::<Vec<_>>(),
+            fresh.outputs,
+            "n={n}"
+        );
         assert_eq!(scratch.cycles(), fresh.cycles, "n={n}");
         assert_eq!(scratch.last_fire_cycle(), fresh.last_fire_cycle);
         assert_eq!(scratch.utilization(), fresh.utilization, "n={n}");
@@ -648,17 +652,35 @@ fn mm_lane_parallel_tape_reuse_follows_every_structure_switch() {
     tape_reuse_sequence::<f64>(gen::random_dense_f64);
 }
 
-/// One station serves, at 1 and 3 lanes: shape X, a shape Y whose bands
-/// have X's shapes but whose accumulation plan differs, a shape Z with
-/// other band shapes, X twice, X with an additive term (each problem then
-/// carries its own, structurally equal schedule `Arc`), X again, and X as
-/// fresh solves (a new schedule `Arc` per call).  The engine's tapes are
-/// therefore rebuilt, reused by pointer and reused by structure; every lane
+/// How one step of [`tape_reuse_sequence`] is served.
+#[derive(Clone, Copy, PartialEq)]
+enum Serve {
+    /// One lane pass through a capacity-0 cache: every lane stages its own
+    /// bands.
+    Lanes,
+    /// One fresh solve per problem (a new schedule `Arc` per call).
+    Fresh,
+    /// Every lane names one `B` operand, served through a cache that keeps
+    /// it, so the lanes hold one resident `B` band.
+    SharedB,
+    /// Every lane names one `A` and one `B` operand, served the same way.
+    SharedAB,
+}
+
+/// One station serves, at 1, 3 and again 1 lanes: shape X, a shape Y whose
+/// bands have X's shapes but whose accumulation plan differs, a shape Z
+/// with other band shapes, X twice, X with an additive term (each problem
+/// then carries its own, structurally equal schedule `Arc`), X again, X as
+/// fresh solves, and X with every lane sharing its `B`, then its `A` and
+/// `B`, through a cache of capacity > 0 (both through
+/// `multiply_mm_resident_lanes_on` and `multiply_mm_resident_into`).  The
+/// engine's tapes are therefore rebuilt, reused by pointer and reused by
+/// structure, and shared bands are broadcast across the lanes; every lane
 /// must match a solo solve on a new station.
 fn tape_reuse_sequence<T: Scalar>(random: impl Fn(usize, usize, u64) -> DenseMatrix<T>) {
     use size_independent_systolic::dbt::{
-        build_a_hat, build_b_hat, multiply_mm_resident_lanes_on, BandCache, MmOutcome,
-        MmResidentProblem, OperandRef,
+        build_a_hat, build_b_hat, multiply_mm_resident_into, multiply_mm_resident_lanes_on,
+        BandCache, MmOutcome, MmResidentProblem, OperandRef, StagingReport,
     };
     let w = 3;
     let (x, y, z) = ((6, 3, 3), (3, 3, 6), (5, 7, 4));
@@ -671,21 +693,24 @@ fn tape_reuse_sequence<T: Scalar>(random: impl Fn(usize, usize, u64) -> DenseMat
     assert_ne!(band_shapes(x), band_shapes(z));
     let mut station = ArrayStation::<T>::new(w).unwrap();
     let mut cache = BandCache::new(w, 0);
+    let mut resident = BandCache::new(w, 8);
     let mut seed = 0u64;
-    for lanes in [1usize, 3] {
+    for lanes in [1usize, 3, 1] {
         let steps = [
-            (x, false, false),
-            (y, false, false),
-            (z, false, false),
-            (x, false, false),
-            (x, false, false),
-            (x, true, false),
-            (x, false, false),
-            (x, true, true),
+            (x, false, Serve::Lanes),
+            (y, false, Serve::Lanes),
+            (z, false, Serve::Lanes),
+            (x, false, Serve::Lanes),
+            (x, false, Serve::Lanes),
+            (x, true, Serve::Lanes),
+            (x, false, Serve::Lanes),
+            (x, true, Serve::Fresh),
+            (x, false, Serve::SharedB),
+            (x, false, Serve::SharedAB),
         ];
-        for (step, ((n, p, m), with_e, fresh)) in steps.into_iter().enumerate() {
+        for (step, ((n, p, m), with_e, serve)) in steps.into_iter().enumerate() {
             type Case<T> = (OperandRef<T>, OperandRef<T>, Option<DenseMatrix<T>>);
-            let ops: Vec<Case<T>> = (0..lanes)
+            let mut ops: Vec<Case<T>> = (0..lanes)
                 .map(|_| {
                     seed += 3;
                     let a = OperandRef::named(seed, random(n, p, seed));
@@ -693,6 +718,18 @@ fn tape_reuse_sequence<T: Scalar>(random: impl Fn(usize, usize, u64) -> DenseMat
                     (a, b, with_e.then(|| random(n, m, seed + 2)))
                 })
                 .collect();
+            let shared = [
+                serve == Serve::SharedAB,
+                serve != Serve::Lanes && serve != Serve::Fresh,
+            ];
+            for lane in 1..lanes {
+                if shared[0] {
+                    ops[lane].0 = ops[0].0.clone();
+                }
+                if shared[1] {
+                    ops[lane].1 = ops[0].1.clone();
+                }
+            }
             let problems: Vec<MmResidentProblem<'_, T>> = ops
                 .iter()
                 .map(|(a, b, e)| MmResidentProblem {
@@ -701,15 +738,43 @@ fn tape_reuse_sequence<T: Scalar>(random: impl Fn(usize, usize, u64) -> DenseMat
                     e: e.as_ref(),
                 })
                 .collect();
-            let outcomes: Vec<MmOutcome<T>> = if fresh {
-                problems
+            let outcomes: Vec<MmOutcome<T>> = match serve {
+                Serve::Fresh => problems
                     .iter()
                     .map(|p| multiply_mm_on(&mut station, p.a, p.b, p.e).unwrap())
-                    .collect()
-            } else {
-                multiply_mm_resident_lanes_on(&mut station, &mut cache, &problems)
-                    .unwrap()
-                    .0
+                    .collect(),
+                Serve::Lanes => {
+                    multiply_mm_resident_lanes_on(&mut station, &mut cache, &problems)
+                        .unwrap()
+                        .0
+                }
+                Serve::SharedB | Serve::SharedAB => {
+                    let (outcomes, reports) =
+                        multiply_mm_resident_lanes_on(&mut station, &mut resident, &problems)
+                            .unwrap();
+                    // Lanes after the first hit the band lane 0 staged, so
+                    // every lane holds that one resident band.
+                    let shared_hits = shared.iter().filter(|&&s| s).count() as u32;
+                    for (lane, report) in reports.iter().enumerate().skip(1) {
+                        assert_eq!(report.hits, shared_hits, "step {step}, lane {lane}");
+                    }
+                    let mut outs = vec![DenseMatrix::zeros(0, 0); lanes];
+                    let mut reports = vec![StagingReport::default(); lanes];
+                    let cycles = multiply_mm_resident_into(
+                        &mut station,
+                        &mut resident,
+                        &problems,
+                        &mut outs,
+                        &mut reports,
+                    )
+                    .unwrap();
+                    for (lane, (outcome, out)) in outcomes.iter().zip(&outs).enumerate() {
+                        let at = format!("step {step}, lane {lane} of {lanes}, into");
+                        assert_eq!(&outcome.c, out, "{at}");
+                        assert_eq!(outcome.cycles, cycles, "{at}");
+                    }
+                    outcomes
+                }
             };
             for (lane, (p, laned)) in problems.iter().zip(&outcomes).enumerate() {
                 let solo = multiply_mm(p.a, p.b, p.e, w).unwrap();
